@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedOrder,
     ZchurstError,
 )
-from .fbm import FgnCovariance, HurstParam, SamplePath, as_hurst, rho, rho_asymptotic, rho_sequence, synthesize
+from .fbm import SamplePath, as_hurst, rho, rho_asymptotic, rho_sequence, synthesize
 from .patterns import (
     Pattern,
     PatternClass,
@@ -60,7 +60,6 @@ from .variance import (
     gamma_exact,
     gamma_taylor,
     k_threshold,
-    pattern_prob,
     var_c_approx,
     var_c_asymptotic,
     var_c_exact,
@@ -97,88 +96,3 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadLength",
-    "CapReached",
-    "DegenerateCorrelation",
-    "DomainError",
-    "EmbeddingNotPSD",
-    "InputError",
-    "NotPositiveDefinite",
-    "NumericalError",
-    "QuadratureNotConverged",
-    "UnsupportedOrder",
-    "ZchurstError",
-    "FgnCovariance",
-    "HurstParam",
-    "SamplePath",
-    "as_hurst",
-    "rho",
-    "rho_asymptotic",
-    "rho_sequence",
-    "synthesize",
-    "Pattern",
-    "PatternClass",
-    "PatternCounts",
-    "alpha",
-    "beta",
-    "change_indicator_count",
-    "count_patterns",
-    "p_bar",
-    "p_hat",
-    "pattern_class",
-    "pattern_of_increments",
-    "pattern_of_values",
-    "DEFAULT_QUADRATURE",
-    "OrthantSpec4",
-    "QuadratureConfig",
-    "orthant2",
-    "orthant3",
-    "orthant4",
-    "orthant4_excess",
-    "orthant4_mc",
-    "plackett_partials",
-    "DEFAULT_VARIANCE",
-    "ChangeCovariance",
-    "VarianceApproxConfig",
-    "change_prob",
-    "f_infinity",
-    "f_n",
-    "gamma0",
-    "gamma1",
-    "gamma_asymptotic",
-    "gamma_exact",
-    "gamma_taylor",
-    "k_threshold",
-    "pattern_prob",
-    "var_c_approx",
-    "var_c_asymptotic",
-    "var_c_exact",
-    "DEFAULT_ZC",
-    "EstimateReport",
-    "ZcConfig",
-    "asymptotic_expectation",
-    "asymptotic_variance",
-    "coverage_limit",
-    "g",
-    "g_prime",
-    "g_second",
-    "heaf_estimate",
-    "heaf_transform",
-    "zc_estimate",
-    "CampaignResult",
-    "CampaignSpec",
-    "CellStats",
-    "VarianceProxy",
-    "csv_text",
-    "derive_seed",
-    "figure1_data",
-    "figure3_data",
-    "run_campaign",
-    "table1",
-    "table2_rows",
-    "table3_rows",
-    "variance_table_rows",
-    "write_csv",
-]

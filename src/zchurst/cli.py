@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .errors import InputError, NumericalError
 from .estimators import ZcConfig, heaf_estimate, zc_estimate
@@ -43,8 +44,8 @@ from .harness import (
     variance_table_rows,
     write_csv,
 )
-from .orthant import QuadratureConfig
-from .variance import VarianceApproxConfig
+from .orthant import DEFAULT_QUADRATURE, QuadratureConfig
+from .variance import DEFAULT_VARIANCE, VarianceApproxConfig
 
 DEFAULT_SEED = 20240801
 
@@ -53,11 +54,11 @@ DEFAULT_SEED = 20240801
 class Settings:
     """Numerical knobs shared across subcommands."""
 
-    quad_nodes: int = 48
-    quad_abs_tol: float = 1e-9
-    taylor_order: int = 3
-    taylor_eps: float = 0.01
-    n_tilde_cap: int = 250
+    quad_nodes: int = DEFAULT_QUADRATURE.nodes
+    quad_abs_tol: float = DEFAULT_QUADRATURE.abs_tol
+    taylor_order: int = DEFAULT_VARIANCE.m
+    taylor_eps: float = DEFAULT_VARIANCE.eps
+    n_tilde_cap: int = DEFAULT_VARIANCE.n_tilde_cap
     proxy_grid_step: float = 0.001
     figure1_grid_step: float = 0.001
 
@@ -70,8 +71,8 @@ class Settings:
         )
 
 
-_INT_KEYS = {"quad_nodes", "taylor_order", "n_tilde_cap"}
-_FLOAT_KEYS = {"quad_abs_tol", "taylor_eps", "proxy_grid_step", "figure1_grid_step"}
+# Each setting's value type, for the config file and its --flag.
+_SETTING_TYPES = typing.get_type_hints(Settings)
 
 
 def parse_config(path: str) -> dict:
@@ -87,13 +88,10 @@ def parse_config(path: str) -> dict:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
+            if key not in _SETTING_TYPES:
+                raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(text)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(text)
-                else:
-                    raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+                values[key] = _SETTING_TYPES[key](text)
             except ValueError:
                 raise InputError(
                     f"{path}:{lineno}: bad value {text!r} for {key}"
@@ -106,7 +104,7 @@ def resolve_settings(args) -> Settings:
     if getattr(args, "config", None):
         for key, value in parse_config(args.config).items():
             setattr(settings, key, value)
-    for key in _INT_KEYS | _FLOAT_KEYS:
+    for key in _SETTING_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(settings, key, flag)
@@ -251,13 +249,8 @@ def cmd_reproduce(args, out) -> int:
 
 def _add_settings_flags(parser):
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--quad-nodes", dest="quad_nodes", type=int)
-    parser.add_argument("--quad-abs-tol", dest="quad_abs_tol", type=float)
-    parser.add_argument("--taylor-order", dest="taylor_order", type=int)
-    parser.add_argument("--taylor-eps", dest="taylor_eps", type=float)
-    parser.add_argument("--n-tilde-cap", dest="n_tilde_cap", type=int)
-    parser.add_argument("--proxy-grid-step", dest="proxy_grid_step", type=float)
-    parser.add_argument("--figure1-grid-step", dest="figure1_grid_step", type=float)
+    for key, kind in _SETTING_TYPES.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

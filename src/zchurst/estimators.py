@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadLength, DomainError
+from .errors import BadLength, DomainError, InputError
 from .fbm import as_hurst
 from .orthant import DEFAULT_QUADRATURE, QuadratureConfig
 from .patterns import change_indicator_count
@@ -115,41 +115,51 @@ def _var_of_c(h_eval: float, n: int, cfg: ZcConfig) -> float:
     return var_c_approx(h_eval, n, cfg.variance, cfg.quadrature)
 
 
+def zc_interval(h: float, var_c: float) -> tuple:
+    """(s_n, bias, ci_low, ci_high) at estimate h, given Var_H(c_n).
+
+    s_n and the bias are plug-in values with the derivatives of g taken at
+    max(h, H_FLOOR); the 95% interval is centred on h and clipped to [0, 1].
+    h = 1 is the degenerate zero-width interval at 1.
+    """
+    if h == 1.0:
+        return 0.0, 0.0, 1.0, 1.0
+    c = change_prob(max(h, H_FLOOR))
+    s_n = g_prime(c) ** 2 * var_c
+    bias = 0.5 * g_second(c) * var_c
+    half = Z95 * math.sqrt(s_n)
+    return s_n, bias, max(h - half, 0.0), min(h + half, 1.0)
+
+
+def _finite_series(x) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise InputError(f"series value at index {bad} is {arr.flat[bad]}, not finite")
+    return arr
+
+
 def zc_estimate(x, cfg: ZcConfig = DEFAULT_ZC) -> EstimateReport:
     """Zero-crossing estimate with 95% interval and asymptotic diagnostics.
 
     s_n and the bias/variance diagnostics are plug-in values at H = h_hat
     (the H -> 0 boundary evaluated at H_FLOOR, and h_hat = 1 degenerating
-    to a zero-width interval at 1).
+    to a zero-width interval at 1).  NaN or infinite values raise
+    InputError.
     """
-    changes, n = change_indicator_count(x)
+    changes, n = change_indicator_count(_finite_series(x))
     c_hat = changes / n
     h_hat = g(c_hat)
-    if h_hat == 1.0:
-        return EstimateReport(
-            method="ZC",
-            h_hat=1.0,
-            statistic=c_hat,
-            n=n,
-            ci_low=1.0,
-            ci_high=1.0,
-            s_n=0.0,
-            asymptotic_bias=0.0,
-            asymptotic_variance=0.0,
-        )
-    h_eval = max(h_hat, H_FLOOR)
-    var_c = _var_of_c(h_eval, n, cfg)
-    c_eval = change_prob(h_eval)
-    s_n = g_prime(c_eval) ** 2 * var_c
-    bias = 0.5 * g_second(c_eval) * var_c
-    half = Z95 * math.sqrt(s_n)
+    var_c = 0.0 if h_hat == 1.0 else _var_of_c(max(h_hat, H_FLOOR), n, cfg)
+    s_n, bias, ci_low, ci_high = zc_interval(h_hat, var_c)
     return EstimateReport(
         method="ZC",
         h_hat=h_hat,
         statistic=c_hat,
         n=n,
-        ci_low=max(h_hat - half, 0.0),
-        ci_high=min(h_hat + half, 1.0),
+        ci_low=ci_low,
+        ci_high=ci_high,
         s_n=s_n,
         asymptotic_bias=bias,
         asymptotic_variance=s_n,
@@ -166,9 +176,10 @@ def heaf_estimate(x) -> EstimateReport:
 
     All-equal increments make rho_hat 0/0; that input is reported as the
     degenerate h_hat = 1 path (statistic pinned to the rho = 1 limit)
-    rather than raised, so campaigns keep running.
+    rather than raised, so campaigns keep running.  NaN or infinite values
+    raise InputError.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _finite_series(x)
     if arr.ndim != 1 or arr.size < 3:
         raise BadLength(f"need at least 3 values, got {arr.size}")
     y = np.diff(arr)

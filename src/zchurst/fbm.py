@@ -33,19 +33,6 @@ def as_hurst(h) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class HurstParam:
-    """A validated Hurst parameter, real in (0, 1]."""
-
-    h: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", as_hurst(self.h))
-
-    def __float__(self) -> float:
-        return self.h
-
-
 def rho(h, k: int) -> float:
     """Autocovariance of unit-variance fGn at lag k.
 
@@ -85,22 +72,6 @@ def rho_asymptotic(h, k: int) -> float:
     if k < 1:
         raise DomainError(f"lag must be positive, got {k}")
     return hh * (2.0 * hh - 1.0) * float(k) ** (2.0 * hh - 2.0)
-
-
-@dataclass(frozen=True)
-class FgnCovariance:
-    """Lazily evaluated autocovariance map k -> rho_H(k)."""
-
-    h: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", as_hurst(self.h))
-
-    def __call__(self, k: int) -> float:
-        return rho(self.h, k)
-
-    def sequence(self, k_max: int) -> np.ndarray:
-        return rho_sequence(self.h, k_max)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ ZcConfig.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import io
 import math
@@ -26,21 +27,18 @@ from scipy.stats import kstest
 
 from .errors import CapReached, DomainError, NumericalError
 from .estimators import (
-    Z95,
     ZcConfig,
     asymptotic_expectation,
     asymptotic_variance,
-    g_prime,
-    g_second,
     heaf_estimate,
     zc_estimate,
+    zc_interval,
 )
 from .fbm import as_hurst, synthesize
 from .orthant import DEFAULT_QUADRATURE, QuadratureConfig
 from .variance import (
     DEFAULT_VARIANCE,
     VarianceApproxConfig,
-    change_prob,
     k_threshold,
     var_c_approx,
 )
@@ -119,7 +117,6 @@ class CampaignSpec:
     replications: int
     base_seed: int
     estimators: tuple = (ZC, HEAF)
-    outputs: tuple = ()
     keep_samples: bool = False
     workers: int = 1
     proxy_grid_step: float = 0.001
@@ -144,7 +141,12 @@ class CampaignSpec:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Aggregates for one (H, n, estimator) cell."""
+    """Aggregates for one (H, n, estimator) cell.
+
+    wall_time is the summed wall time of the cell's replication blocks, each
+    timed where it ran, so it counts work and not waiting on other cells.
+    The cell's ZC and HEAF stats share it, as they share the blocks.
+    """
 
     mean: float
     variance: float
@@ -164,46 +166,47 @@ class CampaignResult:
         return self.cells[(as_hurst(h), int(n), estimator)]
 
 
-def _run_replication_range(
-    h: float,
-    n: int,
-    base_seed: int,
-    h_index: int,
-    n_index: int,
-    start: int,
-    stop: int,
-    proxy_h: np.ndarray,
-    proxy_f: np.ndarray,
-    want_zc: bool,
-    want_heaf: bool,
-):
-    """One contiguous block of replications for one cell.
+@dataclass(frozen=True)
+class _Block:
+    """Replications [start, stop) of the cell (hurst_grid[h_index], lengths[n_index]).
 
-    Returns per-replication arrays indexed from `start`, so the caller can
-    place them regardless of which worker produced them.
+    proxy is the cell's VarianceProxy when ZC runs, None otherwise.
     """
-    count = stop - start
-    zc_h = np.full(count, np.nan) if want_zc else None
-    covered = np.zeros(count, dtype=bool) if want_zc else None
-    heaf_h = np.full(count, np.nan) if want_heaf else None
+
+    base_seed: int
+    h_index: int
+    n_index: int
+    h: float
+    n: int
+    start: int
+    stop: int
+    proxy: VarianceProxy | None
+    heaf: bool
+
+
+def _run_block(block: _Block):
+    """Per-replication arrays indexed from block.start, plus the block's wall time."""
+    t0 = time.perf_counter()
+    count = block.stop - block.start
+    zc_h = np.full(count, np.nan)
+    covered = np.zeros(count, dtype=bool)
+    heaf_h = np.full(count, np.nan)
     failed = np.zeros(count, dtype=bool)
-    cfg = ZcConfig(
-        var_c=lambda hh, nn: float(np.interp(hh, proxy_h, proxy_f)) / nn
-    )
+    cfg = ZcConfig(var_c=block.proxy.var_c) if block.proxy is not None else None
     for i in range(count):
-        seed = derive_seed(base_seed, h_index, n_index, start + i)
+        seed = derive_seed(block.base_seed, block.h_index, block.n_index, block.start + i)
         try:
-            path = synthesize(h, n, seed)
+            path = synthesize(block.h, block.n, seed)
         except NumericalError:
             failed[i] = True
             continue
-        if want_zc:
+        if cfg is not None:
             report = zc_estimate(path.levels, cfg)
             zc_h[i] = report.h_hat
-            covered[i] = report.ci_low <= h <= report.ci_high
-        if want_heaf:
+            covered[i] = report.ci_low <= block.h <= report.ci_high
+        if block.heaf:
             heaf_h[i] = heaf_estimate(path.levels).h_hat
-    return start, zc_h, covered, heaf_h, failed
+    return zc_h, covered, heaf_h, failed, time.perf_counter() - t0
 
 
 def _aggregate(values: np.ndarray, covered, failed, elapsed, keep) -> CellStats:
@@ -234,64 +237,67 @@ def build_proxies(spec: CampaignSpec) -> dict:
     return proxies
 
 
+@contextlib.contextmanager
+def _task_map(workers: int):
+    """The builtin map in-process at one worker, else one process pool's map."""
+    if workers == 1:
+        yield map
+    else:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            yield pool.map
+
+
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Run every (H, n) cell; bit-identical output for any worker count."""
     want_zc = ZC in spec.estimators
     want_heaf = HEAF in spec.estimators
     proxies = build_proxies(spec)
+    reps = spec.replications
+    step = max(1, math.ceil(reps / (spec.workers * 4)))
+    blocks = [
+        _Block(
+            spec.base_seed,
+            h_index,
+            n_index,
+            h,
+            n,
+            start,
+            min(start + step, reps),
+            proxies.get(n),
+            want_heaf,
+        )
+        for n_index, n in enumerate(spec.lengths)
+        for h_index, h in enumerate(spec.hurst_grid)
+        for start in range(0, reps, step)
+    ]
+    # Indexed [n_index, h_index, replication].
+    shape = (len(spec.lengths), len(spec.hurst_grid), reps)
+    zc_h = np.full(shape, np.nan)
+    covered = np.zeros(shape, dtype=bool)
+    heaf_h = np.full(shape, np.nan)
+    failed = np.zeros(shape, dtype=bool)
+    wall = np.zeros(shape[:2])
+    with _task_map(spec.workers) as run:
+        for block, (bz, bc, bh, bf, elapsed) in zip(blocks, run(_run_block, blocks)):
+            cell = (block.n_index, block.h_index)
+            span = cell + (slice(block.start, block.stop),)
+            zc_h[span] = bz
+            covered[span] = bc
+            heaf_h[span] = bh
+            failed[span] = bf
+            wall[cell] += elapsed
     cells = {}
     for n_index, n in enumerate(spec.lengths):
-        proxy = proxies.get(n)
-        proxy_h = proxy.h_grid if proxy else np.array([1e-4, 1.0])
-        proxy_f = proxy.f_grid if proxy else np.zeros(2)
         for h_index, h in enumerate(spec.hurst_grid):
-            t0 = time.perf_counter()
-            reps = spec.replications
-            zc_h = np.full(reps, np.nan)
-            covered = np.zeros(reps, dtype=bool)
-            heaf_h = np.full(reps, np.nan)
-            failed = np.zeros(reps, dtype=bool)
-            args = (h, n, spec.base_seed, h_index, n_index)
-            if spec.workers == 1:
-                blocks = [
-                    _run_replication_range(
-                        *args, 0, reps, proxy_h, proxy_f, want_zc, want_heaf
-                    )
-                ]
-            else:
-                step = max(1, math.ceil(reps / (spec.workers * 4)))
-                bounds = [(s, min(s + step, reps)) for s in range(0, reps, step)]
-                with concurrent.futures.ProcessPoolExecutor(spec.workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _run_replication_range,
-                            *args,
-                            s,
-                            e,
-                            proxy_h,
-                            proxy_f,
-                            want_zc,
-                            want_heaf,
-                        )
-                        for s, e in bounds
-                    ]
-                    blocks = [f.result() for f in futures]
-            for start, bz, bc, bh, bf in blocks:
-                stop = start + len(bf)
-                failed[start:stop] = bf
-                if want_zc:
-                    zc_h[start:stop] = bz
-                    covered[start:stop] = bc
-                if want_heaf:
-                    heaf_h[start:stop] = bh
-            elapsed = time.perf_counter() - t0
+            cell = (n_index, h_index)
+            elapsed = float(wall[cell])
             if want_zc:
                 cells[(h, n, ZC)] = _aggregate(
-                    zc_h, covered, failed, elapsed, spec.keep_samples
+                    zc_h[cell], covered[cell], failed[cell], elapsed, spec.keep_samples
                 )
             if want_heaf:
                 cells[(h, n, HEAF)] = _aggregate(
-                    heaf_h, None, failed, elapsed, spec.keep_samples
+                    heaf_h[cell], None, failed[cell], elapsed, spec.keep_samples
                 )
     return CampaignResult(spec=spec, cells=cells)
 
@@ -344,22 +350,15 @@ def figure1_data(
         proxy = VarianceProxy.build(windows, grid_step, cfg, q)
         for h, f_val in zip(proxy.h_grid, proxy.f_grid):
             h = float(h)
-            var_c = f_val / windows
-            if h == 1.0:
-                s_n = bias = 0.0
-            else:
-                c = change_prob(h)
-                s_n = g_prime(c) ** 2 * var_c
-                bias = 0.5 * g_second(c) * var_c
-            half = Z95 * math.sqrt(s_n)
+            s_n, bias, ci_low, ci_high = zc_interval(h, f_val / windows)
             rows.append(
                 {
                     "n": int(n),
                     "h": h,
-                    "ci_low": max(h - half, 0.0),
-                    "ci_high": min(h + half, 1.0),
+                    "ci_low": ci_low,
+                    "ci_high": ci_high,
                     "asymptotic_bias": bias,
-                    "asymptotic_variance": s_n if h < 1.0 else 0.0,
+                    "asymptotic_variance": s_n,
                 }
             )
     return rows
@@ -394,6 +393,10 @@ def figure3_data(
     for h in spec.hurst_grid:
         cell = result.cell(h, n, ZC)
         sd = math.sqrt(cell.variance)
+        if not (math.isfinite(sd) and sd > 0.0):
+            raise DomainError(
+                f"H={h}, n={n}: the estimates have sd {sd}, so they cannot be standardized"
+            )
         standardized = (cell.samples - cell.mean) / sd
         ks = kstest(standardized, "norm")
         summary_rows.append(

@@ -26,7 +26,6 @@ from .orthant import (
     QuadratureConfig,
     orthant4_excess,
 )
-from .patterns import Pattern, pattern_class
 
 _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
@@ -35,10 +34,6 @@ _PI_SQ = math.pi * math.pi
 # safe under concurrent readers.
 _GAMMA_CACHE: dict = {}
 _THRESHOLD_CACHE: dict = {}
-
-_MONOTONE_PERMS = frozenset({(0, 1, 2), (2, 1, 0)})
-_CHANGE_PERMS = frozenset({(0, 2, 1), (2, 0, 1), (1, 2, 0), (1, 0, 2)})
-
 
 @dataclass(frozen=True)
 class VarianceApproxConfig:
@@ -64,21 +59,6 @@ def change_prob(h) -> float:
     """c(H) = P(local extremum) = 1 - (2/pi) arcsin(2^(H-1))."""
     hh = as_hurst(h)
     return 1.0 - 2.0 / math.pi * math.asin(2.0 ** (hh - 1.0))
-
-
-def pattern_prob(h, p: Pattern) -> float:
-    """Probability of one order-2 pattern under fBm increments.
-
-    The monotone patterns each carry (1/pi) arcsin(2^(H-1)); the four
-    change patterns each carry a quarter of c(H).
-    """
-    hh = as_hurst(h)
-    if p.d != 2:
-        raise DomainError(f"closed-form pattern probabilities exist for d=2, got d={p.d}")
-    arc = math.asin(2.0 ** (hh - 1.0))
-    if p.perm in _MONOTONE_PERMS:
-        return arc / math.pi
-    return 0.25 - arc / _TWO_PI
 
 
 def gamma0(h) -> float:

@@ -68,6 +68,13 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     bad.write_text("1.0\nabc\n")
     assert main(["estimate", str(bad)]) == 2
 
+    # a non-finite sample is refused by both estimators, not estimated
+    gap = tmp_path / "gap.txt"
+    gap.write_text("1.0\n2.0\nnan\n0.5\n1.5\n")
+    for method in ("zc", "heaf"):
+        assert main(["estimate", str(gap), "--method", method]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("quod_nodes=16\n")
     assert main(["estimate", str(bad), "--config", str(cfg)]) == 2

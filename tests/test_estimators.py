@@ -9,6 +9,7 @@ import pytest
 from zchurst import (
     BadLength,
     DomainError,
+    InputError,
     ZcConfig,
     asymptotic_expectation,
     asymptotic_variance,
@@ -150,6 +151,16 @@ def test_heaf_report():
     assert flat.h_hat == 1.0
     with pytest.raises(BadLength):
         heaf_estimate(np.array([1.0, 2.0]))
+
+
+def test_estimators_refuse_non_finite_input():
+    x = np.array(synthesize(0.7, 512, seed=2).levels)
+    for bad in (math.nan, math.inf, -math.inf):
+        y = x.copy()
+        y[100] = bad
+        for estimate in (zc_estimate, heaf_estimate):
+            with pytest.raises(InputError, match="index 100 is"):
+                estimate(y)
 
 
 def test_coverage_limit_value():

@@ -12,7 +12,6 @@ import pytest
 from zchurst import (
     BadLength,
     DomainError,
-    HurstParam,
     as_hurst,
     rho,
     rho_asymptotic,
@@ -30,9 +29,6 @@ def test_as_hurst_domain():
     for bad in (0.0, -0.3, 1.0000001, 2.0, float("nan")):
         with pytest.raises(DomainError):
             as_hurst(bad)
-    assert float(HurstParam(0.5)) == 0.5
-    with pytest.raises(DomainError):
-        HurstParam(0.0)
 
 
 def test_rho_anchor_values():

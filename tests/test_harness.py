@@ -2,6 +2,7 @@
 determinism, report row shapes, and CSV formatting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,32 +103,30 @@ def test_campaign_spec_validation():
 
 
 def test_campaign_determinism_and_worker_independence():
-    spec = CampaignSpec(
-        hurst_grid=(0.45, 0.7),
-        lengths=(48,),
-        replications=30,
-        base_seed=99,
-        proxy_grid_step=0.1,
-    )
-    first = run_campaign(spec)
-    second = run_campaign(spec)
-    parallel = run_campaign(
-        CampaignSpec(
-            hurst_grid=(0.45, 0.7),
-            lengths=(48,),
-            replications=30,
-            base_seed=99,
-            proxy_grid_step=0.1,
-            workers=2,
-        )
-    )
-    for result in (second, parallel):
-        assert csv_text(table2_rows(result), TABLE2_COLUMNS) == csv_text(
-            table2_rows(first), TABLE2_COLUMNS
-        )
-        assert csv_text(table3_rows(result), TABLE3_COLUMNS) == csv_text(
-            table3_rows(first), TABLE3_COLUMNS
-        )
+    # the second spec spans two lengths and a replication count that does not
+    # split evenly into blocks, so blocks of several cells are placed at once
+    for grid in (
+        dict(hurst_grid=(0.45, 0.7), lengths=(48,), replications=30),
+        dict(hurst_grid=(0.45, 0.7), lengths=(48, 33), replications=31, keep_samples=True),
+    ):
+        spec = CampaignSpec(base_seed=99, proxy_grid_step=0.1, **grid)
+        first = run_campaign(spec)
+        others = [run_campaign(spec)] + [
+            run_campaign(CampaignSpec(base_seed=99, proxy_grid_step=0.1, workers=w, **grid))
+            for w in (2, 3)
+        ]
+        for result in others:
+            assert csv_text(table2_rows(result), TABLE2_COLUMNS) == csv_text(
+                table2_rows(first), TABLE2_COLUMNS
+            )
+            assert csv_text(table3_rows(result), TABLE3_COLUMNS) == csv_text(
+                table3_rows(first), TABLE3_COLUMNS
+            )
+            for key, cell in first.cells.items():
+                if spec.keep_samples:
+                    assert np.array_equal(result.cells[key].samples, cell.samples)
+                else:
+                    assert result.cells[key].samples is None
 
 
 def test_campaign_cells_and_samples():
@@ -193,6 +192,15 @@ def test_normality_study_summary(normality_study):
 def test_figure3_rejects_thin_studies():
     with pytest.raises(DomainError):
         figure3_data((0.5,), 64, 999, base_seed=1)
+
+
+def test_figure3_rejects_degenerate_cell():
+    # at H = 1 every path is a straight line, so every estimate is 1 and the
+    # cell's sd is 0: refused before any division
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=r"H=1\.0, n=128"):
+            figure3_data((1.0,), 128, 1000, base_seed=5, proxy_grid_step=0.1)
 
 
 def test_figure1_rows():
