@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import kstest
 
 from .errors import CapReached, DomainError, NumericalError
 from .estimators import (
@@ -373,6 +372,7 @@ def figure3_data(
     proxy_grid_step: float = 0.001,
 ):
     """Standardized estimate samples per H plus a KS normality diagnostic."""
+    from scipy.stats import kstest
     if replications < 1000:
         raise DomainError(
             f"need at least 1000 replications for a stable histogram, got {replications}"

@@ -17,6 +17,7 @@ reduction), leaving one smooth 1-dim integral done by Gauss-Legendre.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateCorrelation,
     DomainError,
     NotPositiveDefinite,
+    NumericalError,
     QuadratureNotConverged,
 )
 
@@ -50,30 +52,34 @@ def _det3(m: np.ndarray) -> np.ndarray:
     )
 
 
+def _minor(m: np.ndarray, i: int, j: int) -> np.ndarray:
+    """|M_ij| of (..., 4, 4) M: row i and column j (1-indexed) deleted."""
+    rows = np.array([r for r in range(4) if r != i - 1])
+    cols = np.array([c for c in range(4) if c != j - 1])
+    return _det3(m[..., rows[:, None], cols[None, :]])
+
+
 def _det4(m: np.ndarray) -> np.ndarray:
     """Determinant of (..., 4, 4) by cofactor expansion along the first row."""
-    rows = np.array([1, 2, 3])
     total = 0.0
-    sign = 1.0
     for col in range(4):
-        keep = np.array([c for c in range(4) if c != col])
-        minor = m[..., rows[:, None], keep[None, :]]
-        total = total + sign * m[..., 0, col] * _det3(minor)
-        sign = -sign
+        total = total + (-1.0) ** col * m[..., 0, col] * _minor(m, 1, col + 1)
     return total
+
+
+# Sigma(r) as indices into (1, r1, r2, r3, r4); see the module docstring.
+_SIGMA_IDX = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
 
 
 def _sigma(r1, r2, r3, r4) -> np.ndarray:
     """Sigma(r) as an array, broadcasting over array-valued parameters."""
-    r1, r2, r3, r4 = np.broadcast_arrays(r1, r2, r3, r4)
-    one = np.ones_like(r1)
-    rows = [
-        [one, r1, r2, r3],
-        [r1, one, r4, r2],
-        [r2, r4, one, r1],
-        [r3, r2, r1, one],
-    ]
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    return np.stack(np.broadcast_arrays(1.0, r1, r2, r3, r4), axis=-1)[..., _SIGMA_IDX]
+
+
+def _leading_minors(rows: np.ndarray) -> np.ndarray:
+    """The (R, 3) leading principal minors of Sigma for (R, 4) rows."""
+    sigma = _sigma(*rows.T)
+    return np.stack([1.0 - rows[:, 0] * rows[:, 0], _det3(sigma[:, :3, :3]), _det4(sigma)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -89,12 +95,7 @@ class OrthantSpec4:
         if any(abs(v) > 1.0 for v in r):
             raise DomainError(f"correlations must lie in [-1, 1], got {r}")
         object.__setattr__(self, "r", r)
-        sigma = _sigma(*r)
-        minors = (
-            1.0 - r[0] * r[0],
-            float(_det3(sigma[:3, :3][None])[0]),
-            float(_det4(sigma[None])[0]),
-        )
+        minors = tuple(_leading_minors(np.array([r]))[0].tolist())
         if min(minors) <= PD_TOL:
             raise NotPositiveDefinite(
                 f"Sigma(r) is not strictly positive definite for r={r} "
@@ -150,31 +151,13 @@ def orthant3(rho12: float, rho13: float, rho23: float) -> float:
 
 
 def _clamped_arcsin(arg: np.ndarray) -> np.ndarray:
-    excess = float(np.max(np.abs(arg))) - 1.0
+    excess = float(np.max(np.abs(arg), initial=0.0)) - 1.0
     if excess > _ARCSIN_SLACK:
         raise NotPositiveDefinite(
             f"arcsin argument {1.0 + excess:.17g} outside [-1, 1]: "
             "path left the positive definite region"
         )
     return np.arcsin(np.clip(arg, -1.0, 1.0))
-
-
-# Submatrix index pairs (rows kept, cols kept) for the minors |Sigma_ij|,
-# where (i, j) are the 1-indexed deleted row and column.
-_MINOR_IDX = {
-    (1, 1): ((1, 2, 3), (1, 2, 3)),
-    (2, 2): ((0, 2, 3), (0, 2, 3)),
-    (1, 3): ((1, 2, 3), (0, 1, 3)),
-    (2, 3): ((0, 2, 3), (0, 1, 3)),
-    (1, 4): ((1, 2, 3), (0, 1, 2)),
-}
-
-
-def _minor(sigma: np.ndarray, deleted: tuple) -> np.ndarray:
-    rows, cols = _MINOR_IDX[deleted]
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    return _det3(sigma[..., rows[:, None], cols[None, :]])
 
 
 def _partials(r1, r2, r3, r4):
@@ -184,11 +167,11 @@ def _partials(r1, r2, r3, r4):
     pairs of Sigma ((1,3) and (2,4)); r3 and r4 occupy one pair each.
     """
     sigma = _sigma(r1, r2, r3, r4)
-    det11 = _minor(sigma, (1, 1))
-    det22 = _minor(sigma, (2, 2))
-    det13 = _minor(sigma, (1, 3))
-    det23 = _minor(sigma, (2, 3))
-    det14 = _minor(sigma, (1, 4))
+    det11 = _minor(sigma, 1, 1)
+    det22 = _minor(sigma, 2, 2)
+    det13 = _minor(sigma, 1, 3)
+    det23 = _minor(sigma, 2, 3)
+    det14 = _minor(sigma, 1, 4)
     pi = math.pi
     a2 = _clamped_arcsin(det13 / np.sqrt(det11 * det22))
     a3 = _clamped_arcsin(det23 / det22)
@@ -201,25 +184,23 @@ def _partials(r1, r2, r3, r4):
 
 def plackett_partials(s: OrthantSpec4):
     """d(orthant probability)/dr_i at s for i = 2, 3, 4."""
-    r1, r2, r3, r4 = s.r
-    d2, d3, d4 = _partials(
-        np.float64(r1), np.float64(r2), np.float64(r3), np.float64(r4)
-    )
-    return float(d2), float(d3), float(d4)
+    return tuple(float(d) for d in _partials(*map(np.float64, s.r)))
 
 
-def _path_integral(r: tuple, nodes: int) -> float:
-    r1, r2, r3, r4 = r
+def _path_integral(r, nodes: int) -> np.ndarray:
+    """Path integral of each row of r ((R, 4), or one 4-tuple) at nodes; one
+    1-d dot per row, as a 2-d gemv sums in another order (last bits move)."""
+    r1, r2, r3, r4 = np.atleast_2d(r).T[:, :, None]
     t, w = _nodes01(nodes)
     d2, d3, d4 = _partials(r1, t * r2, t * r3, t * r4)
-    return float(w @ (r2 * d2 + r3 * d3 + r4 * d4))
+    return np.array([w @ row for row in r2 * d2 + r3 * d3 + r4 * d4])
 
 
 # Hard ceiling on node-doubling refinement, as a multiple of q.nodes.
 _MAX_REFINE = 32
 
 
-def orthant4_excess(s: OrthantSpec4, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def orthant4_excess(s, q: QuadratureConfig = DEFAULT_QUADRATURE):
     """orthant4(s) minus the decoupled baseline orthant2(r1)^2.
 
     This is the path integral itself, exposed separately because callers
@@ -228,26 +209,46 @@ def orthant4_excess(s: OrthantSpec4, q: QuadratureConfig = DEFAULT_QUADRATURE) -
     subtract it again, losing up to ~1e-16 absolute to rounding, which
     dominates once the covariance is below ~1e-12.
 
-    Starts at q.nodes and doubles until one doubling moves the value by at
-    most q.abs_tol (the usual case is the first check: well-conditioned
+    s is an OrthantSpec4 (or its four correlations), giving a float, or an
+    (R, 4) array of rows, giving an (R,) array equal bit for bit to one call
+    per row; a batch raises the error of its lowest failing row.
+
+    Each row starts at q.nodes and doubles until one doubling moves it by
+    at most q.abs_tol (the usual case is the first check: well-conditioned
     Sigma converges at 48->96); near-singular Sigma gets more nodes, and
     QuadratureNotConverged means even q.nodes*_MAX_REFINE disagreed.
     """
-    if not isinstance(s, OrthantSpec4):
-        s = OrthantSpec4(tuple(s))
+    if isinstance(s, OrthantSpec4) or np.ndim(s) == 1:
+        spec = s if isinstance(s, OrthantSpec4) else OrthantSpec4(tuple(s))
+        return float(_refined(np.array([spec.r]), q)[0])
+    rows = np.asarray(s, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise DomainError(f"need (R, 4) correlation rows, got shape {rows.shape}")
+    if np.all(np.abs(rows) <= 1.0) and np.all(_leading_minors(rows) > PD_TOL):
+        with contextlib.suppress(NumericalError):  # then row by row: the lowest failing row raises
+            return _refined(rows, q)
+    return np.array([orthant4_excess(row, q) for row in rows.tolist()])
+
+
+def _refined(rows: np.ndarray, q: QuadratureConfig) -> np.ndarray:
+    """Node doubling per row of valid (R, 4) rows; converged rows drop out."""
+    out = np.empty(len(rows))
+    live = np.arange(len(rows))
     nodes = q.nodes
-    coarse = _path_integral(s.r, nodes)
-    while nodes <= q.nodes * _MAX_REFINE // 2:
-        fine = _path_integral(s.r, 2 * nodes)
-        moved = abs(fine - coarse)
-        if moved <= q.abs_tol:
-            return fine
+    coarse = _path_integral(rows, nodes)
+    while live.size and nodes <= q.nodes * _MAX_REFINE // 2:
+        fine = _path_integral(rows[live], 2 * nodes)
+        moved = np.abs(fine - coarse)
+        done = moved <= q.abs_tol
+        out[live[done]] = fine[done]
+        live, coarse, moved = live[~done], fine[~done], moved[~done]
         nodes *= 2
-        coarse = fine
-    raise QuadratureNotConverged(
-        f"the last node doubling ({nodes // 2} -> {nodes}) moved orthant4 by "
-        f"{moved:.3e} > {q.abs_tol:.3e} at r={s.r}"
-    )
+    if live.size:
+        raise QuadratureNotConverged(
+            f"the last node doubling ({nodes // 2} -> {nodes}) moved orthant4 by "
+            f"{moved[0]:.3e} > {q.abs_tol:.3e} at r={tuple(rows[live[0]].tolist())}"
+        )
+    return out
 
 
 def orthant4(s: OrthantSpec4, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

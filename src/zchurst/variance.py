@@ -16,24 +16,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
-from .errors import CapReached, DomainError, UnsupportedOrder
+from .errors import CapReached, DomainError, NumericalError, UnsupportedOrder
 from .fbm import as_hurst, rho
-from .orthant import (
-    DEFAULT_QUADRATURE,
-    OrthantSpec4,
-    QuadratureConfig,
-    orthant4_excess,
-)
+from .orthant import DEFAULT_QUADRATURE, QuadratureConfig, orthant4_excess
 
 _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
 
-# Exact-gamma values are memoized per (H, k, quadrature); idempotent writes,
-# safe under concurrent readers.
+# Exact-gamma values are memoized as {(H, nodes, abs_tol): {k: gamma}};
+# idempotent writes, safe under concurrent readers.
 _GAMMA_CACHE: dict = {}
 _THRESHOLD_CACHE: dict = {}
+
+# Lags per gamma_exact call in k_threshold; larger blocks only cost memory.
+_BLOCK = 16
 
 @dataclass(frozen=True)
 class VarianceApproxConfig:
@@ -73,11 +70,7 @@ def gamma1(h) -> float:
     return math.asin(rho(hh, 2)) / _TWO_PI - (math.asin(rho(hh, 1)) / math.pi) ** 2
 
 
-def _q_key(q: QuadratureConfig):
-    return q.nodes, q.abs_tol
-
-
-def gamma_exact(h, k: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
     """gamma_H(k) for k >= 2 via two orthant4 evaluations.
 
     The orthant vectors are (rho_1, s*rho_k, s*rho_{k+1}, s*rho_{k-1}) for
@@ -89,23 +82,31 @@ def gamma_exact(h, k: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     baseline, so the baseline never enters the arithmetic.  Adding and
     subtracting it would cap relative accuracy near 1e-4 once gamma falls
     to ~1e-13 (large k, H < 1/2).
+
+    k may be a 1-d array of lags, giving an array equal bit for bit to one
+    call per lag; a failure raises the error of the lowest failing lag.
     """
     hh = as_hurst(h)
-    if k < 2:
-        raise DomainError(f"gamma_exact needs k >= 2, got {k}")
+    lags = np.atleast_1d(k).tolist()
+    if min(lags, default=2) < 2:
+        raise DomainError(f"gamma_exact needs k >= 2, got {min(lags)}")
     if hh in (0.5, 1.0):
-        return 0.0
-    key = (hh, k) + _q_key(q)
-    hit = _GAMMA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    r1 = rho(hh, 1)
-    tail = (rho(hh, k), rho(hh, k + 1), rho(hh, k - 1))
-    plus = orthant4_excess(OrthantSpec4((r1,) + tail), q)
-    minus = orthant4_excess(OrthantSpec4((r1,) + tuple(-v for v in tail)), q)
-    value = 2.0 * (plus + minus)
-    _GAMMA_CACHE[key] = value
-    return value
+        return 0.0 if np.ndim(k) == 0 else np.zeros(len(lags))
+    cache = _GAMMA_CACHE.setdefault((hh, q.nodes, q.abs_tol), {})
+    misses = [v for v in dict.fromkeys(lags) if v not in cache]
+    if misses:
+        # Scalar rho: numpy's pow may differ in the last ulp (see fbm.rho).
+        tails = np.array([(rho(hh, v), rho(hh, v + 1), rho(hh, v - 1)) for v in misses])
+        rows = [np.insert(s * tails, 0, rho(hh, 1), axis=1) for s in (1.0, -1.0)]
+        try:
+            plus, minus = (orthant4_excess(r, q) for r in rows)
+        except NumericalError:  # lag by lag, the lowest failing lag raises
+            if len(misses) == 1:
+                raise
+            return np.array([gamma_exact(hh, v, q) for v in lags])
+        cache.update(zip(misses, (2.0 * (plus + minus)).tolist()))
+    values = [cache[v] for v in lags]
+    return values[0] if np.ndim(k) == 0 else np.array(values)
 
 
 def _asymptotic_prefactor(hh: float) -> float:
@@ -145,24 +146,17 @@ def gamma_taylor(h, k: int, m: int = 3) -> float:
     hh = as_hurst(h)
     if k < 2:
         raise DomainError(f"gamma_taylor needs k >= 2, got {k}")
-    coeffs = _taylor_coeffs(hh, m)
-    u2 = (hh * (2.0 * hh - 1.0) * float(k) ** (2.0 * hh - 2.0)) ** 2
+    return _taylor_series(hh, float(k), m)
+
+
+def _taylor_series(hh: float, k, m: int):
+    """gamma_taylor at a float lag k, or at each lag of a float array k."""
+    u2 = (hh * (2.0 * hh - 1.0) * k ** (2.0 * hh - 2.0)) ** 2
     total = 0.0
     power = u2
-    for a in coeffs:
-        total += a * power
-        power *= u2
-    return total
-
-
-def _gamma_taylor_sequence(hh: float, ks: np.ndarray, m: int) -> np.ndarray:
-    coeffs = _taylor_coeffs(hh, m)
-    u2 = (hh * (2.0 * hh - 1.0) * ks ** (2.0 * hh - 2.0)) ** 2
-    total = np.zeros_like(u2)
-    power = u2.copy()
-    for a in coeffs:
-        total += a * power
-        power *= u2
+    for a in _taylor_coeffs(hh, m):
+        total = total + a * power
+        power = power * u2
     return total
 
 
@@ -175,8 +169,8 @@ def k_threshold(
 ) -> int:
     """Least k >= 2 with |gamma_taylor - gamma_exact| / gamma_exact < eps.
 
-    Linear upward search against memoized gamma_exact; raises CapReached
-    past k_max (the H -> 1 corner genuinely needs five-digit k's).
+    Upward search against memoized gamma_exact in blocks of _BLOCK lags;
+    raises CapReached past k_max (the H -> 1 corner needs five-digit k's).
     """
     hh = as_hurst(h)
     if hh in (0.5, 1.0):
@@ -186,33 +180,39 @@ def k_threshold(
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     _taylor_coeffs(hh, m)  # validate the order before searching
-    key = (hh, m, eps) + _q_key(q)
+    key = (hh, m, eps, q.nodes, q.abs_tol)
     hit = _THRESHOLD_CACHE.get(key)
     if hit is not None:
         if hit > k_max:
             raise CapReached(k_max)
         return hit
-    for k in range(2, k_max + 1):
-        exact = gamma_exact(hh, k, q)
-        if exact == 0.0:
-            continue
-        if abs(gamma_taylor(hh, k, m) - exact) / abs(exact) < eps:
-            _THRESHOLD_CACHE[key] = k
-            return k
+    for start in range(2, k_max + 1, _BLOCK):
+        ks = np.arange(start, min(start + _BLOCK, k_max + 1))
+        try:
+            block = gamma_exact(hh, ks, q).tolist()
+        except NumericalError:
+            # The failing lag may lie past the threshold: go lazily, lag by lag.
+            block = (gamma_exact(hh, k, q) for k in ks.tolist())
+        for k, exact in zip(ks.tolist(), block):
+            if exact == 0.0:
+                continue
+            if abs(gamma_taylor(hh, k, m) - exact) / abs(exact) < eps:
+                _THRESHOLD_CACHE[key] = k
+                return k
     raise CapReached(k_max)
 
 
 def _weighted_gamma_sum(hh: float, n: int, n_tilde: int, m: int, q: QuadratureConfig) -> float:
     """2 * sum_{k=1}^{n-1} (n-k) gamma(k), exact below n_tilde, Taylor from it."""
-    if n < 2:
-        return 0.0
     head_top = min(n_tilde, n)
+    ks = np.arange(2, head_top)
     acc = (n - 1) * gamma1(hh)
-    for k in range(2, head_top):
-        acc += (n - k) * gamma_exact(hh, k, q)
+    # Added in lag order: np.sum adds pairwise and would move output bytes.
+    for term in ((n - ks) * gamma_exact(hh, ks, q)).tolist():
+        acc += term
     if head_top < n:
         ks = np.arange(head_top, n, dtype=float)
-        acc += float(np.sum((n - ks) * _gamma_taylor_sequence(hh, ks, m)))
+        acc += float(np.sum((n - ks) * _taylor_series(hh, ks, m)))
     return 2.0 * acc
 
 
@@ -283,6 +283,7 @@ def f_n(
 
 def _taylor_zeta_tail(hh: float, start: int, m: int) -> float:
     """sum_{k >= start} gamma_taylor(k) in closed form via Hurwitz zeta."""
+    from scipy.special import zeta
     coeffs = _taylor_coeffs(hh, m)
     base = (hh * (2.0 * hh - 1.0)) ** 2
     total = 0.0
@@ -317,8 +318,8 @@ def f_infinity(h, tail_tol: float = 1e-9, q: QuadratureConfig = DEFAULT_QUADRATU
         start = k_threshold(hh, 3, eps, q, k_max=20_000)
         tail = _taylor_zeta_tail(hh, start, 3)
     head = gamma1(hh)
-    for k in range(2, start):
-        head += gamma_exact(hh, k, q)
+    for value in gamma_exact(hh, np.arange(2, start), q).tolist():
+        head += value
     return gamma0(hh) + 2.0 * (head + tail)
 
 
@@ -353,8 +354,6 @@ class ChangeCovariance:
             return gamma0(self.h)
         if k == 1:
             return gamma1(self.h)
-        if self.h in (0.5, 1.0):
-            return 0.0
         if tag.startswith("taylor"):
             return gamma_taylor(self.h, k, self.m)
         return gamma_exact(self.h, k, self.q)

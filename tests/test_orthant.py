@@ -7,6 +7,7 @@ common-random-numbers simulation written out longhand in this file.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from zchurst import (
     DegenerateCorrelation,
     DomainError,
     NotPositiveDefinite,
+    NumericalError,
     OrthantSpec4,
     QuadratureConfig,
     QuadratureNotConverged,
@@ -24,6 +26,7 @@ from zchurst import (
     orthant4_excess,
     orthant4_mc,
     plackett_partials,
+    rho,
 )
 from zchurst.orthant import _clamped_arcsin, _path_integral, _sigma
 
@@ -169,9 +172,50 @@ def test_quadrature_node_doubling_converged():
         assert abs(_path_integral(r, 32) - _path_integral(r, 64)) < 1e-10
 
 
+def _lag2_row(h):
+    """The s = +1 orthant row of the lag-2 change covariance at H = h."""
+    return (rho(h, 1), rho(h, 2), rho(h, 3), rho(h, 1))
+
+
+# Sigma of the H = 0.999 lag-2 row is near singular: from 4 nodes, even the
+# last doubling allowed (64 -> 128) still moves the excess by about 7e-9.
+TIGHT = QuadratureConfig(nodes=4, abs_tol=1e-12)
+
+
 def test_quadrature_not_converged_is_loud():
-    with pytest.raises(QuadratureNotConverged):
-        orthant4(OrthantSpec4(STRESS_R), QuadratureConfig(nodes=8, abs_tol=1e-300))
+    with pytest.raises(QuadratureNotConverged) as info:
+        orthant4(OrthantSpec4(_lag2_row(0.999)), TIGHT)
+    moved = float(re.search(r"moved orthant4 by (\S+) >", str(info.value)).group(1))
+    assert moved > TIGHT.abs_tol
+
+
+def test_batch_rows_match_one_at_a_time():
+    rng = np.random.default_rng(2026)
+    rows = [STRESS_R, _lag2_row(0.999)]
+    while len(rows) < 40:
+        r = tuple(float(v) for v in rng.uniform(-0.9, 0.9, size=4))
+        try:
+            OrthantSpec4(r)
+        except NotPositiveDefinite:
+            continue
+        rows.append(r)
+    batch = orthant4_excess(np.array(rows))
+    one_at_a_time = np.array([orthant4_excess(OrthantSpec4(r)) for r in rows])
+    assert batch.tobytes() == one_at_a_time.tobytes()
+    assert orthant4_excess(np.empty((0, 4))).shape == (0,)
+
+
+def test_batch_raises_for_its_lowest_failing_row():
+    good = (0.3, 0.1, 0.05, 0.2)
+    singular = (0.99, 0.99, 0.99, -0.99)
+    slow = _lag2_row(0.999)
+    for rows, lowest in (([good, slow, singular], slow), ([good, singular, slow], singular)):
+        with pytest.raises(NumericalError) as alone:
+            orthant4_excess(lowest, TIGHT)
+        with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+            orthant4_excess(np.array(rows), TIGHT)
+    with pytest.raises(DomainError):
+        orthant4_excess(np.zeros((3, 3)))
 
 
 def test_near_degenerate_spec_still_agrees():

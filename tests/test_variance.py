@@ -7,14 +7,18 @@ aggregates built on top of them.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zchurst import (
     CapReached,
     ChangeCovariance,
     DomainError,
+    QuadratureNotConverged,
     UnsupportedOrder,
     VarianceApproxConfig,
     change_indicator_count,
@@ -33,6 +37,7 @@ from zchurst import (
     var_c_approx,
     var_c_asymptotic,
     var_c_exact,
+    variance,
 )
 
 H_SAMPLE = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
@@ -128,6 +133,88 @@ def test_k_threshold_anchors_and_errors():
             k_threshold(h, 3, 0.01)
     with pytest.raises(CapReached):
         k_threshold(0.95, 3, 0.001, k_max=100)
+
+
+def _fresh_caches():
+    """Empty gamma and threshold caches for the duration of a with block."""
+    return mock.patch.multiple(variance, _GAMMA_CACHE={}, _THRESHOLD_CACHE={})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.one_of(st.floats(0.02, 0.98), st.sampled_from([0.5, 1.0])),
+    first=st.integers(2, 400),
+    count=st.integers(1, 40),
+)
+def test_gamma_exact_blocks_equal_single_lags(h, first, count):
+    ks = np.arange(first, min(first + count, 401))
+    with _fresh_caches():
+        block = gamma_exact(h, ks)
+    with _fresh_caches():
+        single = np.array([gamma_exact(h, int(k)) for k in ks])
+    assert block.tobytes() == single.tobytes()
+    if h in (0.5, 1.0):
+        assert block.tobytes() == np.zeros(len(ks)).tobytes()
+
+
+def _linear_threshold(h, m, eps, k_max):
+    """The threshold by a plain scan, one lag at a time; None past k_max."""
+    for k in range(2, k_max + 1):
+        exact = gamma_exact(h, k)
+        if exact != 0.0 and abs(gamma_taylor(h, k, m) - exact) / abs(exact) < eps:
+            return k
+    return None
+
+
+def test_blocked_k_threshold_equals_linear_scan():
+    # 9 lies inside the first block of 16 lags (2..17); 18 and 226 are the
+    # first lags of the blocks 18..33 and 226..241; 225 and 100 are caps
+    # that end a block early
+    cases = (
+        (0.55, 0.01, 1000, 9),
+        (0.05, 0.01, 1000, 18),
+        (0.95, 0.01, 1000, 226),
+        (0.95, 0.01, 225, None),
+        (0.95, 0.01, 100, None),
+    )
+    for h, eps, k_max, expected in cases:
+        with _fresh_caches():
+            assert _linear_threshold(h, 3, eps, k_max) == expected
+        with _fresh_caches():
+            if expected is None:
+                with pytest.raises(CapReached):
+                    k_threshold(h, 3, eps, k_max=k_max)
+            else:
+                assert k_threshold(h, 3, eps, k_max=k_max) == expected
+
+
+def test_blocks_raise_only_for_the_lowest_lag_used(monkeypatch):
+    real = variance.orthant4_excess
+
+    def fail_rows(**labelled_r2):
+        """Make orthant4_excess raise, naming the label, on rows with that r2."""
+
+        def excess(rows, q):
+            for label, r2 in labelled_r2.items():
+                if np.any(rows[:, 1] == r2):
+                    raise QuadratureNotConverged(label)
+            return real(rows, q)
+
+        monkeypatch.setattr(variance, "orthant4_excess", excess)
+
+    # k_threshold(0.55, 3, 0.01) is 9, and its first block holds lags 2..17
+    fail_rows(plus12=rho(0.55, 12))
+    with _fresh_caches():
+        assert k_threshold(0.55, 3, 0.01) == 9
+    fail_rows(plus5=rho(0.55, 5))
+    with _fresh_caches():
+        with pytest.raises(QuadratureNotConverged, match="plus5"):
+            k_threshold(0.55, 3, 0.01)
+    # the s = +1 rows go first, but lag 5 fails before lag 7 does
+    fail_rows(plus7=rho(0.55, 7), minus5=-rho(0.55, 5))
+    with _fresh_caches():
+        with pytest.raises(QuadratureNotConverged, match="minus5"):
+            gamma_exact(0.55, np.arange(2, 18))
 
 
 def test_change_covariance_provenance():
