@@ -43,30 +43,6 @@ _ARCSIN_SLACK = 1e-12
 _MC_CHUNK = 1 << 19
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinant of (..., 3, 3) by cofactor expansion along the first row."""
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
-def _minor(m: np.ndarray, i: int, j: int) -> np.ndarray:
-    """|M_ij| of (..., 4, 4) M: row i and column j (1-indexed) deleted."""
-    rows = np.array([r for r in range(4) if r != i - 1])
-    cols = np.array([c for c in range(4) if c != j - 1])
-    return _det3(m[..., rows[:, None], cols[None, :]])
-
-
-def _det4(m: np.ndarray) -> np.ndarray:
-    """Determinant of (..., 4, 4) by cofactor expansion along the first row."""
-    total = 0.0
-    for col in range(4):
-        total = total + (-1.0) ** col * m[..., 0, col] * _minor(m, 1, col + 1)
-    return total
-
-
 # Sigma(r) as indices into (1, r1, r2, r3, r4); see the module docstring.
 _SIGMA_IDX = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
 
@@ -76,10 +52,33 @@ def _sigma(r1, r2, r3, r4) -> np.ndarray:
     return np.stack(np.broadcast_arrays(1.0, r1, r2, r3, r4), axis=-1)[..., _SIGMA_IDX]
 
 
+def _minors(r1, r2, r3, r4):
+    """|M11|, |M22|, |M13|, |M23|, |M14| of Sigma(r) from five shared 2x2
+    cofactors, broadcasting: bit for bit their first-row expansions."""
+    a = 1.0 - r1 * r1
+    u = r4 - r1 * r2
+    v = r2 - r1 * r3
+    w = r2 * r2 - r4 * r3
+    x = r4 * r1 - r2
+    y = r1 * r2 - r3
+    return (
+        a - r4 * u + r2 * x,
+        a - r2 * v + r3 * y,
+        r1 * u - v + r2 * w,
+        u - r1 * v + r3 * w,
+        r1 * x - y + r4 * w,
+    )
+
+
 def _leading_minors(rows: np.ndarray) -> np.ndarray:
     """The (R, 3) leading principal minors of Sigma for (R, 4) rows."""
-    sigma = _sigma(*rows.T)
-    return np.stack([1.0 - rows[:, 0] * rows[:, 0], _det3(sigma[:, :3, :3]), _det4(sigma)], axis=1)
+    r1, r2, r3, r4 = rows.T
+    det11, _, det13, _, det14 = _minors(r1, r2, r3, r4)
+    a = 1.0 - r1 * r1
+    det3 = 1.0 - r4 * r4 - r1 * (r1 - r4 * r2) + r2 * (r1 * r4 - r2)
+    det12 = r1 * a - r4 * (r2 - r1 * r3) + r2 * (r1 * r2 - r3)
+    det4 = det11 - r1 * det12 + r2 * det13 - r3 * det14
+    return np.stack([a, det3, det4], axis=1)
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class OrthantSpec4:
         r = tuple(float(v) for v in self.r)
         if len(r) != 4:
             raise DomainError(f"need exactly 4 correlations, got {len(r)}")
-        if any(abs(v) > 1.0 for v in r):
+        if any(not abs(v) <= 1.0 for v in r):
             raise DomainError(f"correlations must lie in [-1, 1], got {r}")
         object.__setattr__(self, "r", r)
         minors = tuple(_leading_minors(np.array([r]))[0].tolist())
@@ -139,8 +138,8 @@ def orthant2(rho12: float) -> float:
 
 def orthant3(rho12: float, rho13: float, rho23: float) -> float:
     """Trivariate orthant probability, arcsine closed form."""
-    m = np.array([[1.0, rho12, rho13], [rho12, 1.0, rho23], [rho13, rho23, 1.0]])
-    if 1.0 - rho12 * rho12 <= PD_TOL or _det3(m[None])[0] <= PD_TOL:
+    # its matrix is the leading 3x3 block of Sigma(rho12, rho13, r3, rho23), any r3
+    if np.min(_leading_minors(np.array([[rho12, rho13, 0.0, rho23]]))[0, :2]) <= PD_TOL:
         raise NotPositiveDefinite(
             f"3x3 correlation matrix not strictly positive definite: "
             f"({rho12}, {rho13}, {rho23})"
@@ -166,12 +165,7 @@ def _partials(r1, r2, r3, r4):
     d/dr2 carries a doubled weight because r2 occupies two symmetric entry
     pairs of Sigma ((1,3) and (2,4)); r3 and r4 occupy one pair each.
     """
-    sigma = _sigma(r1, r2, r3, r4)
-    det11 = _minor(sigma, 1, 1)
-    det22 = _minor(sigma, 2, 2)
-    det13 = _minor(sigma, 1, 3)
-    det23 = _minor(sigma, 2, 3)
-    det14 = _minor(sigma, 1, 4)
+    det11, det22, det13, det23, det14 = _minors(r1, r2, r3, r4)
     pi = math.pi
     a2 = _clamped_arcsin(det13 / np.sqrt(det11 * det22))
     a3 = _clamped_arcsin(det23 / det22)
@@ -198,6 +192,9 @@ def _path_integral(r, nodes: int) -> np.ndarray:
 
 # Hard ceiling on node-doubling refinement, as a multiple of q.nodes.
 _MAX_REFINE = 32
+
+# Rows per _refined pass, so memory is flat in R: a (rows, 96 nodes) array is 200 kB.
+_CHUNK = 256
 
 
 def orthant4_excess(s, q: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -232,6 +229,9 @@ def orthant4_excess(s, q: QuadratureConfig = DEFAULT_QUADRATURE):
 
 def _refined(rows: np.ndarray, q: QuadratureConfig) -> np.ndarray:
     """Node doubling per row of valid (R, 4) rows; converged rows drop out."""
+    if len(rows) > _CHUNK:  # in order, so the first chunk to fail holds the lowest failing row
+        starts = range(0, len(rows), _CHUNK)
+        return np.concatenate([_refined(rows[i : i + _CHUNK], q) for i in starts])
     out = np.empty(len(rows))
     live = np.arange(len(rows))
     nodes = q.nodes

@@ -146,15 +146,15 @@ def gamma_taylor(h, k: int, m: int = 3) -> float:
     hh = as_hurst(h)
     if k < 2:
         raise DomainError(f"gamma_taylor needs k >= 2, got {k}")
-    return _taylor_series(hh, float(k), m)
+    return _taylor_series(hh, float(k), _taylor_coeffs(hh, m))
 
 
-def _taylor_series(hh: float, k, m: int):
+def _taylor_series(hh: float, k, coeffs: list):
     """gamma_taylor at a float lag k, or at each lag of a float array k."""
     u2 = (hh * (2.0 * hh - 1.0) * k ** (2.0 * hh - 2.0)) ** 2
     total = 0.0
     power = u2
-    for a in _taylor_coeffs(hh, m):
+    for a in coeffs:
         total = total + a * power
         power = power * u2
     return total
@@ -179,7 +179,7 @@ def k_threshold(
         )
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    _taylor_coeffs(hh, m)  # validate the order before searching
+    coeffs = _taylor_coeffs(hh, m)  # also validates the order before searching
     key = (hh, m, eps, q.nodes, q.abs_tol)
     hit = _THRESHOLD_CACHE.get(key)
     if hit is not None:
@@ -194,9 +194,7 @@ def k_threshold(
             # The failing lag may lie past the threshold: go lazily, lag by lag.
             block = (gamma_exact(hh, k, q) for k in ks.tolist())
         for k, exact in zip(ks.tolist(), block):
-            if exact == 0.0:
-                continue
-            if abs(gamma_taylor(hh, k, m) - exact) / abs(exact) < eps:
+            if exact != 0.0 and abs(_taylor_series(hh, k, coeffs) - exact) / abs(exact) < eps:
                 _THRESHOLD_CACHE[key] = k
                 return k
     raise CapReached(k_max)
@@ -212,7 +210,7 @@ def _weighted_gamma_sum(hh: float, n: int, n_tilde: int, m: int, q: QuadratureCo
         acc += term
     if head_top < n:
         ks = np.arange(head_top, n, dtype=float)
-        acc += float(np.sum((n - ks) * _taylor_series(hh, ks, m)))
+        acc += float(np.sum((n - ks) * _taylor_series(hh, ks, _taylor_coeffs(hh, m))))
     return 2.0 * acc
 
 

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zchurst import (
     DegenerateCorrelation,
@@ -28,7 +30,15 @@ from zchurst import (
     plackett_partials,
     rho,
 )
-from zchurst.orthant import _clamped_arcsin, _path_integral, _sigma
+from zchurst.orthant import (
+    PD_TOL,
+    _clamped_arcsin,
+    _leading_minors,
+    _minors,
+    _nodes01,
+    _path_integral,
+    _sigma,
+)
 
 # Near-degenerate reference point: min eigenvalue of Sigma(r) is ~1e-3.
 STRESS_R = (0.9394828550545087, 0.7307088872646178, 0.521934919474727, 0.8350958711595633)
@@ -90,6 +100,67 @@ def test_sigma_structure_fixed_by_pair_swap():
         r = tuple(float(v) for v in rng.uniform(-0.9, 0.9, size=4))
         sigma = np.array(_sigma(*r))
         np.testing.assert_array_equal(sigma[np.ix_(perm, perm)], sigma)
+
+
+def _cofactor_det(m):
+    """Determinant of (..., n, n) m by first-row cofactor expansion."""
+    if m.shape[-1] == 1:
+        return m[..., 0, 0]
+    terms = [
+        m[..., 0, j] * _cofactor_det(np.delete(np.delete(m, 0, -2), j, -1))
+        for j in range(m.shape[-1])
+    ]
+    total = terms[0]
+    for j in range(1, len(terms)):
+        total = total - terms[j] if j % 2 else total + terms[j]
+    return total
+
+
+def _sigma_minor(sigma, i, j):
+    """|M_ij| of (..., 4, 4) sigma (1-indexed) by the generic expansion."""
+    return _cofactor_det(np.delete(np.delete(sigma, i - 1, -2), j - 1, -1))
+
+
+_CORRELATION = st.floats(-1.0, 1.0, allow_nan=False)
+_ROWS = st.lists(st.tuples(*[_CORRELATION] * 4), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_ROWS, nodes=st.sampled_from([4, 8, 48]))
+def test_closed_form_minors_are_the_cofactor_expansion(rows, nodes):
+    rows = np.array([r for r in rows if np.linalg.eigvalsh(_sigma(*r))[0] > 1e-9])
+    assume(len(rows) > 0)
+    # the shapes _path_integral hands to _partials: r1 is (R, 1), the rest (R, N)
+    t = _nodes01(nodes)[0]
+    r1, r2, r3, r4 = rows.T[:, :, None]
+    path = (r1, t * r2, t * r3, t * r4)
+    sigma = _sigma(*path)
+    expected = [_sigma_minor(sigma, i, j) for i, j in ((1, 1), (2, 2), (1, 3), (2, 3), (1, 4))]
+    for got, want in zip(_minors(*path), expected):
+        assert got.shape == want.shape == (len(rows), nodes)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_ROWS)
+def test_leading_minors_are_the_cofactor_expansion(rows):
+    rows = np.array(rows)
+    sigma = _sigma(*rows.T)
+    expected = np.stack([_cofactor_det(sigma[:, :d, :d]) for d in (2, 3, 4)], axis=1)
+    assert _leading_minors(rows).tobytes() == expected.tobytes()
+    # the PD check agrees with the spectrum: a leading minor of order d is
+    # at least lambda_min^d, and some minor is <= 0 once lambda_min < 0
+    smallest = np.linalg.eigvalsh(sigma)[:, 0]
+    accepted = np.all(_leading_minors(rows) > PD_TOL, axis=1)
+    assert accepted[smallest > 2e-3].all()
+    assert not accepted[smallest < -1e-9].any()
+
+
+def test_nan_correlations_are_refused():
+    with pytest.raises(DomainError, match="nan"):
+        OrthantSpec4((0.2, math.nan, 0.1, 0.1))
+    with pytest.raises(DomainError, match="nan"):
+        orthant4_excess(np.array([(0.3, 0.1, 0.05, 0.2), (0.2, 0.1, 0.1, math.nan)]))
 
 
 def test_spec_validation():

@@ -31,6 +31,7 @@ from zchurst import (
     gamma_exact,
     gamma_taylor,
     k_threshold,
+    orthant,
     orthant3,
     rho,
     synthesize,
@@ -215,6 +216,26 @@ def test_blocks_raise_only_for_the_lowest_lag_used(monkeypatch):
     with _fresh_caches():
         with pytest.raises(QuadratureNotConverged, match="minus5"):
             gamma_exact(0.55, np.arange(2, 18))
+
+
+def test_orthant_batches_are_chunked(monkeypatch):
+    real = orthant._path_integral
+    batches = []
+
+    def path_integral(rows, nodes):
+        batches.append(len(rows))
+        return real(rows, nodes)
+
+    ks = np.arange(2, 2002)
+    monkeypatch.setattr(orthant, "_path_integral", path_integral)
+    with _fresh_caches():
+        chunked = gamma_exact(0.65, ks)
+    assert max(batches) == orthant._CHUNK
+    monkeypatch.setattr(orthant, "_CHUNK", len(ks))
+    with _fresh_caches():
+        whole = gamma_exact(0.65, ks)
+    assert max(batches) == len(ks)
+    assert chunked.tobytes() == whole.tobytes()
 
 
 def test_change_covariance_provenance():
