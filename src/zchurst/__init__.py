@@ -49,7 +49,6 @@ from .orthant import (
 )
 from .variance import (
     DEFAULT_VARIANCE,
-    ChangeCovariance,
     VarianceApproxConfig,
     change_prob,
     f_infinity,

@@ -149,22 +149,15 @@ def cmd_estimate(args, out) -> int:
     return 0
 
 
-def _parse_float_list(text: str, what: str):
+def _parse_list(text: str, kind, what: str):
     try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
+        return tuple(kind(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise InputError(f"bad {what} list: {text!r}") from None
 
 
-def _parse_int_list(text: str, what: str):
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise InputError(f"bad {what} list: {text!r}") from None
-
-
-def _emit(rows, columns, args, out, filename=None):
-    if getattr(args, "out", None) and filename:
+def _emit(rows, columns, args, out, filename):
+    if getattr(args, "out", None):
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, filename)
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -176,8 +169,8 @@ def _emit(rows, columns, args, out, filename=None):
 def cmd_variance_table(args, out) -> int:
     settings = resolve_settings(args)
     rows = variance_table_rows(
-        _parse_float_list(args.h, "H"),
-        _parse_int_list(args.n, "n"),
+        _parse_list(args.h, float, "H"),
+        _parse_list(args.n, int, "n"),
         settings.variance(),
         settings.quadrature(),
     )
@@ -206,27 +199,23 @@ def cmd_figure1(args, out) -> int:
 def cmd_figure3(args, out) -> int:
     settings = resolve_settings(args)
     samples, summary = figure3_data(
-        _parse_float_list(args.h, "H"),
+        _parse_list(args.h, float, "H"),
         args.n,
         args.replications,
         args.seed,
         workers=args.workers,
         proxy_grid_step=settings.proxy_grid_step,
     )
+    _emit(summary, FIGURE3_SUMMARY_COLUMNS, args, out, "figure3_summary.csv")
     if args.out:
-        _emit(summary, FIGURE3_SUMMARY_COLUMNS, args, out, "figure3_summary.csv")
         _emit(samples, FIGURE3_SAMPLE_COLUMNS, args, out, "figure3_samples.csv")
-    else:
-        write_csv(summary, FIGURE3_SUMMARY_COLUMNS, out)
     return 0
 
 
 def cmd_reproduce(args, out) -> int:
-    settings = resolve_settings(args)
     if args.table == 1:
-        rows = table1(q=settings.quadrature(), m=settings.taylor_order)
-        _emit(rows, TABLE1_COLUMNS, args, out, "table1.csv")
-        return 0
+        return cmd_table1(args, out)
+    settings = resolve_settings(args)
     estimator = ZC if args.table == 2 else HEAF
     spec = CampaignSpec(
         hurst_grid=TABLE23_GRID,

@@ -3,8 +3,9 @@
 Determinism contract: a campaign's numbers are a pure function of its spec.
 Every replication's seed is derived by mixing (base_seed, H index, length
 index, replication index), so results do not depend on scheduling, worker
-count, or completion order; per-cell aggregation reads arrays indexed by
-replication, which numpy reduces with pairwise summation.
+count, or completion order; per-cell aggregation concatenates the cell's
+blocks in replication order, and numpy reduces the result with pairwise
+summation.
 
 The expensive part of one replication would be Var_H(c_n) at the estimated
 H (quadrature per call); campaigns instead precompute n * Var on an H grid
@@ -18,6 +19,7 @@ import concurrent.futures
 import contextlib
 import csv
 import io
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import CapReached, DomainError, NumericalError
 from .estimators import (
+    H_FLOOR,
     ZcConfig,
     asymptotic_expectation,
     asymptotic_variance,
@@ -95,8 +98,8 @@ class VarianceProxy:
             raise DomainError(f"grid_step must be in (0, 0.1], got {grid_step}")
         steps = round(1.0 / grid_step)
         interior = np.linspace(0.0, 1.0, steps + 1)[1:-1]
-        h_grid = np.concatenate(([1e-4], interior, [1.0]))
-        f_grid = np.array([n * var_c_approx(h, n, cfg, q) for h in h_grid[:-1]] + [0.0])
+        h_grid = np.concatenate(([H_FLOOR], interior, [1.0]))
+        f_grid = np.array([n * var_c_approx(h, n, cfg, q) for h in h_grid])
         h_grid.setflags(write=False)
         f_grid.setflags(write=False)
         return cls(n=n, h_grid=h_grid, f_grid=f_grid)
@@ -269,35 +272,22 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         for h_index, h in enumerate(spec.hurst_grid)
         for start in range(0, reps, step)
     ]
-    # Indexed [n_index, h_index, replication].
-    shape = (len(spec.lengths), len(spec.hurst_grid), reps)
-    zc_h = np.full(shape, np.nan)
-    covered = np.zeros(shape, dtype=bool)
-    heaf_h = np.full(shape, np.nan)
-    failed = np.zeros(shape, dtype=bool)
-    wall = np.zeros(shape[:2])
-    with _task_map(spec.workers) as run:
-        for block, (bz, bc, bh, bf, elapsed) in zip(blocks, run(_run_block, blocks)):
-            cell = (block.n_index, block.h_index)
-            span = cell + (slice(block.start, block.stop),)
-            zc_h[span] = bz
-            covered[span] = bc
-            heaf_h[span] = bh
-            failed[span] = bf
-            wall[cell] += elapsed
+    keep = spec.keep_samples
     cells = {}
-    for n_index, n in enumerate(spec.lengths):
-        for h_index, h in enumerate(spec.hurst_grid):
-            cell = (n_index, h_index)
-            elapsed = float(wall[cell])
+    with _task_map(spec.workers) as run:
+        done = zip(blocks, run(_run_block, blocks))
+        # A cell's blocks are adjacent and in replication order.
+        for (n_index, h_index), group in itertools.groupby(
+            done, key=lambda pair: (pair[0].n_index, pair[0].h_index)
+        ):
+            *columns, walls = zip(*(result for _, result in group))
+            zc_h, covered, heaf_h, failed = map(np.concatenate, columns)
+            h, n = spec.hurst_grid[h_index], spec.lengths[n_index]
+            elapsed = sum(walls)
             if want_zc:
-                cells[(h, n, ZC)] = _aggregate(
-                    zc_h[cell], covered[cell], failed[cell], elapsed, spec.keep_samples
-                )
+                cells[(h, n, ZC)] = _aggregate(zc_h, covered, failed, elapsed, keep)
             if want_heaf:
-                cells[(h, n, HEAF)] = _aggregate(
-                    heaf_h[cell], None, failed[cell], elapsed, spec.keep_samples
-                )
+                cells[(h, n, HEAF)] = _aggregate(heaf_h, None, failed, elapsed, keep)
     return CampaignResult(spec=spec, cells=cells)
 
 
@@ -474,52 +464,39 @@ FIGURE3_SUMMARY_COLUMNS = (
 VARIANCE_TABLE_COLUMNS = ("h", "n", "var_c", "f_n", "var_c_asymptotic")
 
 
+def _cell_rows(result: CampaignResult, estimator: str):
+    """The per-cell columns shared by Tables 2 and 3, with each row's cell."""
+    for h in result.spec.hurst_grid:
+        for n in result.spec.lengths:
+            cell = result.cell(h, n, estimator)
+            row = {
+                "h": h,
+                "n": n,
+                "replications": cell.replications,
+                "failures": cell.failures,
+                "mean": cell.mean,
+                "variance": cell.variance,
+            }
+            yield row, cell
+
+
 def table2_rows(result: CampaignResult):
     """Simulated ZC moments next to the deterministic asymptotic columns."""
     spec = result.spec
     rows = []
-    for h in spec.hurst_grid:
-        for n in spec.lengths:
-            cell = result.cell(h, n, ZC)
-            rows.append(
-                {
-                    "h": h,
-                    "n": n,
-                    "replications": cell.replications,
-                    "failures": cell.failures,
-                    "mean": cell.mean,
-                    "variance": cell.variance,
-                    # The asymptotic columns are evaluated at the nominal
-                    # length n, matching how the reference table labels them.
-                    "asymptotic_expectation": asymptotic_expectation(
-                        h, n, spec.variance, spec.quadrature
-                    ),
-                    "asymptotic_variance": asymptotic_variance(
-                        h, n, spec.variance, spec.quadrature
-                    ),
-                    "coverage": cell.coverage,
-                }
-            )
+    for row, cell in _cell_rows(result, ZC):
+        # The asymptotic columns are evaluated at the nominal length n,
+        # matching how the reference table labels them.
+        at = (row["h"], row["n"], spec.variance, spec.quadrature)
+        row["asymptotic_expectation"] = asymptotic_expectation(*at)
+        row["asymptotic_variance"] = asymptotic_variance(*at)
+        row["coverage"] = cell.coverage
+        rows.append(row)
     return rows
 
 
 def table3_rows(result: CampaignResult):
-    spec = result.spec
-    rows = []
-    for h in spec.hurst_grid:
-        for n in spec.lengths:
-            cell = result.cell(h, n, HEAF)
-            rows.append(
-                {
-                    "h": h,
-                    "n": n,
-                    "replications": cell.replications,
-                    "failures": cell.failures,
-                    "mean": cell.mean,
-                    "variance": cell.variance,
-                }
-            )
-    return rows
+    return [row for row, _ in _cell_rows(result, HEAF)]
 
 
 def variance_table_rows(

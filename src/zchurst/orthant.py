@@ -150,13 +150,15 @@ def orthant3(rho12: float, rho13: float, rho23: float) -> float:
 
 
 def _clamped_arcsin(arg: np.ndarray) -> np.ndarray:
-    excess = float(np.max(np.abs(arg), initial=0.0)) - 1.0
+    excess = max(float(np.max(arg, initial=0.0)), -float(np.min(arg, initial=0.0))) - 1.0
     if excess > _ARCSIN_SLACK:
         raise NotPositiveDefinite(
             f"arcsin argument {1.0 + excess:.17g} outside [-1, 1]: "
             "path left the positive definite region"
         )
-    return np.arcsin(np.clip(arg, -1.0, 1.0))
+    if not excess <= 0.0:  # also when a NaN hides the extremes
+        arg = np.clip(arg, -1.0, 1.0)
+    return np.arcsin(arg)
 
 
 def _partials(r1, r2, r3, r4):

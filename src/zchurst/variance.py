@@ -320,38 +320,3 @@ def f_infinity(h, tail_tol: float = 1e-9, q: QuadratureConfig = DEFAULT_QUADRATU
         head += value
     return gamma0(hh) + 2.0 * (head + tail)
 
-
-@dataclass(frozen=True)
-class ChangeCovariance:
-    """Evaluable map k -> gamma_H(k) with a per-lag provenance tag.
-
-    Lags 0 and 1 use closed forms; further lags use quadrature, or the
-    order-m Taylor form once k reaches taylor_from (if set).
-    """
-
-    h: float
-    q: QuadratureConfig = DEFAULT_QUADRATURE
-    taylor_from: int | None = None
-    m: int = 3
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", as_hurst(self.h))
-
-    def provenance(self, k: int) -> str:
-        if k < 0:
-            raise DomainError(f"lag must be nonnegative, got {k}")
-        if k <= 1 or self.h in (0.5, 1.0):
-            return "closed-form"
-        if self.taylor_from is not None and k >= self.taylor_from:
-            return f"taylor({self.m})"
-        return "quadrature"
-
-    def __call__(self, k: int) -> float:
-        tag = self.provenance(k)
-        if k == 0:
-            return gamma0(self.h)
-        if k == 1:
-            return gamma1(self.h)
-        if tag.startswith("taylor"):
-            return gamma_taylor(self.h, k, self.m)
-        return gamma_exact(self.h, k, self.q)

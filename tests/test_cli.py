@@ -201,7 +201,7 @@ def test_figure3_stdout_and_files(tmp_path, capsys):
     assert len(samples.strip().split("\n")) == 1 + 1000
 
 
-def test_reproduce_table1_file(tmp_path):
+def test_reproduce_table1_file(tmp_path, capsys):
     out_dir = tmp_path / "t1"
     assert main(["reproduce", "--table", "1", "--out", str(out_dir)]) == 0
     with open(out_dir / "table1.csv", newline="") as fh:
@@ -212,6 +212,8 @@ def test_reproduce_table1_file(tmp_path):
         assert got[(h, 0.01)] == k01
         assert got[(h, 0.001)] == k001
     assert all(r["capped"] == "false" for r in rows)
+    assert main(["table1"]) == 0
+    assert (out_dir / "table1.csv").read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_reproduce_table3_deterministic_across_workers(tmp_path):

@@ -147,6 +147,12 @@ def test_campaign_cells_and_samples():
     assert zc.wall_time > 0.0
     assert 0.0 <= zc.coverage <= 1.0
     assert heaf.coverage is None
+    for rows, columns in (
+        (table2_rows(result), TABLE2_COLUMNS),
+        (table3_rows(result), TABLE3_COLUMNS),
+    ):
+        assert len(rows) == 1
+        assert set(rows[0]) == set(columns)
     # without keep_samples the arrays are dropped
     lean = run_campaign(
         CampaignSpec(

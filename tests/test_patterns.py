@@ -10,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zchurst import (
     BadLength,
@@ -168,6 +170,26 @@ def test_change_indicator_matches_class_frequency():
             if (x[i] >= x[i + 1] < x[i + 2]) or (x[i] < x[i + 1] >= x[i + 2])
         )
         assert changes == naive
+
+
+def _ordinal_counts(x):
+    """Pattern counts for d = 1..4, and the change count, of one series."""
+    return [count_patterns(x, d).counts for d in range(1, 5)], change_indicator_count(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.integers(-1000, 1000), min_size=1, max_size=6).flatmap(
+        lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=5, max_size=120)
+    )
+)
+def test_counts_invariant_under_increasing_maps(values):
+    # integer series drawn from a small alphabet, so ties are common; each map
+    # is exactly strictly increasing on such values in double precision
+    x = np.array(values, dtype=np.float64)
+    for f in (lambda v: 4.0 * v + 3.0, lambda v: v**3, lambda v: np.exp(v / 8.0)):
+        assert np.all(np.diff(f(np.unique(x))) > 0.0)
+        assert _ordinal_counts(f(x)) == _ordinal_counts(x)
 
 
 def test_counting_across_chunk_boundaries():

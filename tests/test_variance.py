@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from zchurst import (
     CapReached,
-    ChangeCovariance,
     DomainError,
     QuadratureNotConverged,
     UnsupportedOrder,
@@ -136,6 +135,20 @@ def test_k_threshold_anchors_and_errors():
         k_threshold(0.95, 3, 0.001, k_max=100)
 
 
+def test_table1_last_cell_is_a_rounding_edge():
+    # Table 1's (H 0.95, eps 1e-3) threshold, 10 040, rests on a margin of
+    # under 1e-5 relative at lag 10 039; exact arithmetic puts that lag just
+    # below eps, so a more accurate gamma or rho would move the cell to 10 039.
+    eps = 1e-3
+    ks = np.array([10_039, 10_040])
+    exact = gamma_exact(0.95, ks)
+    above, below = (
+        abs(gamma_taylor(0.95, int(k), 3) - e) / abs(e) / eps for k, e in zip(ks, exact)
+    )
+    assert above > 1.0 > below
+    assert above - 1.0 < 1e-5
+
+
 def _fresh_caches():
     """Empty gamma and threshold caches for the duration of a with block."""
     return mock.patch.multiple(variance, _GAMMA_CACHE={}, _THRESHOLD_CACHE={})
@@ -236,19 +249,6 @@ def test_orthant_batches_are_chunked(monkeypatch):
         whole = gamma_exact(0.65, ks)
     assert max(batches) == len(ks)
     assert chunked.tobytes() == whole.tobytes()
-
-
-def test_change_covariance_provenance():
-    cc = ChangeCovariance(0.7, taylor_from=10, m=3)
-    assert cc.provenance(0) == "closed-form"
-    assert cc.provenance(1) == "closed-form"
-    assert cc.provenance(2) == "quadrature"
-    assert cc.provenance(9) == "quadrature"
-    assert cc.provenance(10) == "taylor(3)"
-    assert cc(0) == gamma0(0.7)
-    assert cc(1) == gamma1(0.7)
-    assert cc(9) == gamma_exact(0.7, 9)
-    assert cc(10) == gamma_taylor(0.7, 10, 3)
 
 
 def test_var_c_exact_anchors():
