@@ -196,16 +196,24 @@ def cmd_figure1(args, out) -> int:
     return 0
 
 
-def cmd_figure3(args, out) -> int:
+def _campaign_spec(args, hurst_grid, lengths, estimator) -> CampaignSpec:
     settings = resolve_settings(args)
-    samples, summary = figure3_data(
-        _parse_list(args.h, float, "H"),
-        args.n,
-        args.replications,
-        args.seed,
+    return CampaignSpec(
+        hurst_grid=hurst_grid,
+        lengths=lengths,
+        replications=args.replications,
+        base_seed=args.seed,
+        estimators=(estimator,),
         workers=args.workers,
         proxy_grid_step=settings.proxy_grid_step,
+        variance=settings.variance(),
+        quadrature=settings.quadrature(),
     )
+
+
+def cmd_figure3(args, out) -> int:
+    spec = _campaign_spec(args, _parse_list(args.h, float, "H"), (args.n,), ZC)
+    samples, summary = figure3_data(spec)
     _emit(summary, FIGURE3_SUMMARY_COLUMNS, args, out, "figure3_summary.csv")
     if args.out:
         _emit(samples, FIGURE3_SAMPLE_COLUMNS, args, out, "figure3_samples.csv")
@@ -215,20 +223,8 @@ def cmd_figure3(args, out) -> int:
 def cmd_reproduce(args, out) -> int:
     if args.table == 1:
         return cmd_table1(args, out)
-    settings = resolve_settings(args)
     estimator = ZC if args.table == 2 else HEAF
-    spec = CampaignSpec(
-        hurst_grid=TABLE23_GRID,
-        lengths=TABLE23_LENGTHS,
-        replications=args.replications,
-        base_seed=args.seed,
-        estimators=(estimator,),
-        workers=args.workers,
-        proxy_grid_step=settings.proxy_grid_step,
-        variance=settings.variance(),
-        quadrature=settings.quadrature(),
-    )
-    result = run_campaign(spec)
+    result = run_campaign(_campaign_spec(args, TABLE23_GRID, TABLE23_LENGTHS, estimator))
     if args.table == 2:
         _emit(table2_rows(result), TABLE2_COLUMNS, args, out, "table2.csv")
     else:

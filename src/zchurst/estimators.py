@@ -151,7 +151,7 @@ def zc_estimate(x, cfg: ZcConfig = DEFAULT_ZC) -> EstimateReport:
     changes, n = change_indicator_count(_finite_series(x))
     c_hat = changes / n
     h_hat = g(c_hat)
-    var_c = 0.0 if h_hat == 1.0 else _var_of_c(max(h_hat, H_FLOOR), n, cfg)
+    var_c = _var_of_c(max(h_hat, H_FLOOR), n, cfg)
     s_n, bias, ci_low, ci_high = zc_interval(h_hat, var_c)
     return EstimateReport(
         method="ZC",
@@ -206,10 +206,7 @@ def asymptotic_expectation(
     g'' < 0, so this sits below H, hardest at H near 1 and small n.
     """
     hh = as_hurst(h)
-    if hh == 1.0:
-        return 1.0
-    var_c = var_c_approx(hh, n, cfg, q)
-    return hh + 0.5 * g_second(change_prob(hh)) * var_c
+    return hh + zc_interval(hh, var_c_approx(hh, n, cfg, q))[1]
 
 
 def asymptotic_variance(
@@ -220,6 +217,4 @@ def asymptotic_variance(
 ) -> float:
     """Large-n variance g'(c(H))^2 Var_H(c_n) of the ZC estimator."""
     hh = as_hurst(h)
-    if hh == 1.0:
-        return 0.0
-    return g_prime(change_prob(hh)) ** 2 * var_c_approx(hh, n, cfg, q)
+    return zc_interval(hh, var_c_approx(hh, n, cfg, q))[0]

@@ -141,24 +141,27 @@ def _assemble(z: np.ndarray, a0: float, am: float, amid: np.ndarray, n: int) -> 
     return np.fft.fft(spec).real[..., :n]
 
 
-def synthesize(h, n: int, seed: int) -> SamplePath:
-    """Draw one exact fGn/fBm path of n increments, deterministic in seed.
+def _increments(hh: float, n: int, rng: np.random.Generator, lead=()) -> np.ndarray:
+    """fGn increments of shape lead + (n,) from rng's standard normals.
 
-    H = 1 is degenerate (all increments equal one shared normal) and
-    bypasses the FFT entirely.
+    H = 1 is degenerate (all increments of a path equal one shared normal)
+    and bypasses the FFT entirely.
     """
-    hh = as_hurst(h)
     if n < 2:
         raise BadLength(f"need n >= 2 increments, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
     if hh == 1.0:
-        z = rng.standard_normal()
-        increments = np.full(n, z)
-    else:
-        m = _embedding_size(n)
-        a0, am, amid = _embedding_scales(hh, m)
-        z = rng.standard_normal(2 * m)
-        increments = _assemble(z, a0, am, amid, n)
+        z = rng.standard_normal(lead + (1,))
+        return np.broadcast_to(z, lead + (n,)).copy()
+    m = _embedding_size(n)
+    a0, am, amid = _embedding_scales(hh, m)
+    z = rng.standard_normal(lead + (2 * m,))
+    return _assemble(z, a0, am, amid, n)
+
+
+def synthesize(h, n: int, seed: int) -> SamplePath:
+    """Draw one exact fGn/fBm path of n increments, deterministic in seed."""
+    hh = as_hurst(h)
+    increments = _increments(hh, n, np.random.Generator(np.random.Philox(key=seed)))
     levels = np.concatenate(([0.0], np.cumsum(increments)))
     increments.setflags(write=False)
     levels.setflags(write=False)
@@ -171,13 +174,4 @@ def increments_block(h, n: int, count: int, rng: np.random.Generator) -> np.ndar
     Batch route for Monte Carlo oracles where per-path seeds are not
     needed; campaigns derive one seed per replication instead.
     """
-    hh = as_hurst(h)
-    if n < 2:
-        raise BadLength(f"need n >= 2 increments, got {n}")
-    if hh == 1.0:
-        z = rng.standard_normal((count, 1))
-        return np.broadcast_to(z, (count, n)).copy()
-    m = _embedding_size(n)
-    a0, am, amid = _embedding_scales(hh, m)
-    z = rng.standard_normal((count, 2 * m))
-    return _assemble(z, a0, am, amid, n)
+    return _increments(as_hurst(h), n, rng, (count,))

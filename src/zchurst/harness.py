@@ -22,7 +22,7 @@ import io
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .variance import (
     VarianceApproxConfig,
     k_threshold,
     var_c_approx,
+    var_c_asymptotic,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -119,7 +120,6 @@ class CampaignSpec:
     replications: int
     base_seed: int
     estimators: tuple = (ZC, HEAF)
-    keep_samples: bool = False
     workers: int = 1
     proxy_grid_step: float = 0.001
     variance: VarianceApproxConfig = DEFAULT_VARIANCE
@@ -148,6 +148,7 @@ class CellStats:
     wall_time is the summed wall time of the cell's replication blocks, each
     timed where it ran, so it counts work and not waiting on other cells.
     The cell's ZC and HEAF stats share it, as they share the blocks.
+    samples holds the completed replications' estimates in replication order.
     """
 
     mean: float
@@ -156,7 +157,7 @@ class CellStats:
     replications: int
     failures: int
     wall_time: float
-    samples: np.ndarray | None = field(default=None, repr=False)
+    samples: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def _run_block(block: _Block):
     return zc_h, covered, heaf_h, failed, time.perf_counter() - t0
 
 
-def _aggregate(values: np.ndarray, covered, failed, elapsed, keep) -> CellStats:
+def _aggregate(values: np.ndarray, covered, failed, elapsed) -> CellStats:
     ok = values[~failed]
     coverage = None
     if covered is not None:
@@ -223,7 +224,7 @@ def _aggregate(values: np.ndarray, covered, failed, elapsed, keep) -> CellStats:
         replications=int(ok.size),
         failures=int(np.count_nonzero(failed)),
         wall_time=elapsed,
-        samples=ok.copy() if keep else None,
+        samples=ok,
     )
 
 
@@ -272,7 +273,6 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         for h_index, h in enumerate(spec.hurst_grid)
         for start in range(0, reps, step)
     ]
-    keep = spec.keep_samples
     cells = {}
     with _task_map(spec.workers) as run:
         done = zip(blocks, run(_run_block, blocks))
@@ -285,9 +285,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
             h, n = spec.hurst_grid[h_index], spec.lengths[n_index]
             elapsed = sum(walls)
             if want_zc:
-                cells[(h, n, ZC)] = _aggregate(zc_h, covered, failed, elapsed, keep)
+                cells[(h, n, ZC)] = _aggregate(zc_h, covered, failed, elapsed)
             if want_heaf:
-                cells[(h, n, HEAF)] = _aggregate(heaf_h, None, failed, elapsed, keep)
+                cells[(h, n, HEAF)] = _aggregate(heaf_h, None, failed, elapsed)
     return CampaignResult(spec=spec, cells=cells)
 
 
@@ -353,35 +353,21 @@ def figure1_data(
     return rows
 
 
-def figure3_data(
-    h_list,
-    n: int,
-    replications: int,
-    base_seed: int,
-    workers: int = 1,
-    proxy_grid_step: float = 0.001,
-):
-    """Standardized estimate samples per H plus a KS normality diagnostic."""
+def figure3_data(spec: CampaignSpec):
+    """Standardized ZC estimate samples plus a KS normality diagnostic.
+
+    Runs the spec's campaign with the ZC estimator only and returns
+    (samples_rows, summary_rows), one summary row per (n, H) cell.
+    """
     from scipy.stats import kstest
-    if replications < 1000:
+    if spec.replications < 1000:
         raise DomainError(
-            f"need at least 1000 replications for a stable histogram, got {replications}"
+            f"need at least 1000 replications for a stable histogram, got {spec.replications}"
         )
-    spec = CampaignSpec(
-        hurst_grid=tuple(h_list),
-        lengths=(int(n),),
-        replications=replications,
-        base_seed=base_seed,
-        estimators=(ZC,),
-        keep_samples=True,
-        workers=workers,
-        proxy_grid_step=proxy_grid_step,
-    )
-    result = run_campaign(spec)
+    result = run_campaign(replace(spec, estimators=(ZC,)))
     samples_rows = []
     summary_rows = []
-    for h in spec.hurst_grid:
-        cell = result.cell(h, n, ZC)
+    for (h, n, _), cell in result.cells.items():
         sd = math.sqrt(cell.variance)
         if not (math.isfinite(sd) and sd > 0.0):
             raise DomainError(
@@ -392,7 +378,7 @@ def figure3_data(
         summary_rows.append(
             {
                 "h": h,
-                "n": int(n),
+                "n": n,
                 "replications": cell.replications,
                 "mean": cell.mean,
                 "sd": sd,
@@ -402,7 +388,7 @@ def figure3_data(
             }
         )
         samples_rows.extend(
-            {"h": h, "n": int(n), "replication": i, "standardized": float(v)}
+            {"h": h, "n": n, "replication": i, "standardized": float(v)}
             for i, v in enumerate(standardized)
         )
     return samples_rows, summary_rows
@@ -506,8 +492,6 @@ def variance_table_rows(
     q: QuadratureConfig = DEFAULT_QUADRATURE,
 ):
     """Var_H(c_n), f_n, and (where defined) the H >= 3/4 asymptotic law."""
-    from .variance import var_c_asymptotic
-
     rows = []
     for h in h_list:
         hh = as_hurst(h)

@@ -27,4 +27,10 @@ def benchmark_campaign():
 def normality_study():
     """Standardized-sample study at n=8192 for one short-memory and one
     long-memory point; returns (samples_rows, summary_rows)."""
-    return figure3_data((0.55, 0.95), 8192, DESK_REPLICATIONS, CAMPAIGN_SEED)
+    spec = CampaignSpec(
+        hurst_grid=(0.55, 0.95),
+        lengths=(8192,),
+        replications=DESK_REPLICATIONS,
+        base_seed=CAMPAIGN_SEED,
+    )
+    return figure3_data(spec)

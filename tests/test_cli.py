@@ -10,10 +10,12 @@ import subprocess
 
 import pytest
 
-from zchurst import synthesize, zc_estimate
+from zchurst import cli, harness, synthesize, zc_estimate
 from zchurst.cli import build_parser, main, parse_config, resolve_settings
 from zchurst.errors import InputError
 from zchurst.harness import FIGURE3_SUMMARY_COLUMNS, VARIANCE_TABLE_COLUMNS
+from zchurst.orthant import QuadratureConfig
+from zchurst.variance import VarianceApproxConfig
 
 from benchmarks import TABLE1_H_GRID, TABLE1_K_EPS_01, TABLE1_K_EPS_001
 
@@ -199,6 +201,45 @@ def test_figure3_stdout_and_files(tmp_path, capsys):
     samples = (out_dir / "figure3_samples.csv").read_text()
     assert summary.split("\n")[1] == lines[1]
     assert len(samples.strip().split("\n")) == 1 + 1000
+
+
+class _SpecSeen(Exception):
+    pass
+
+
+def test_campaign_commands_pass_settings_to_the_spec(monkeypatch):
+    seen = []
+
+    def capture(spec):
+        seen.append(spec)
+        raise _SpecSeen
+
+    # figure3 reaches the campaign through the harness, reproduce directly
+    monkeypatch.setattr(harness, "run_campaign", capture)
+    monkeypatch.setattr(cli, "run_campaign", capture)
+    flags = [
+        "--quad-nodes",
+        "64",
+        "--taylor-order",
+        "2",
+        "--taylor-eps",
+        "0.02",
+        "--n-tilde-cap",
+        "100",
+        "--proxy-grid-step",
+        "0.05",
+    ]
+    for argv in (
+        ["figure3", "--n", "128", "--replications", "1000"],
+        ["reproduce", "--table", "2", "--replications", "10"],
+    ):
+        with pytest.raises(_SpecSeen):
+            main(argv + flags)
+    assert len(seen) == 2
+    for spec in seen:
+        assert spec.variance == VarianceApproxConfig(m=2, eps=0.02, n_tilde_cap=100)
+        assert spec.quadrature == QuadratureConfig(nodes=64)
+        assert spec.proxy_grid_step == 0.05
 
 
 def test_reproduce_table1_file(tmp_path, capsys):

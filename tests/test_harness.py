@@ -107,7 +107,7 @@ def test_campaign_determinism_and_worker_independence():
     # split evenly into blocks, so blocks of several cells are placed at once
     for grid in (
         dict(hurst_grid=(0.45, 0.7), lengths=(48,), replications=30),
-        dict(hurst_grid=(0.45, 0.7), lengths=(48, 33), replications=31, keep_samples=True),
+        dict(hurst_grid=(0.45, 0.7), lengths=(48, 33), replications=31),
     ):
         spec = CampaignSpec(base_seed=99, proxy_grid_step=0.1, **grid)
         first = run_campaign(spec)
@@ -123,10 +123,7 @@ def test_campaign_determinism_and_worker_independence():
                 table3_rows(first), TABLE3_COLUMNS
             )
             for key, cell in first.cells.items():
-                if spec.keep_samples:
-                    assert np.array_equal(result.cells[key].samples, cell.samples)
-                else:
-                    assert result.cells[key].samples is None
+                assert np.array_equal(result.cells[key].samples, cell.samples)
 
 
 def test_campaign_cells_and_samples():
@@ -135,7 +132,6 @@ def test_campaign_cells_and_samples():
         lengths=(32,),
         replications=25,
         base_seed=4,
-        keep_samples=True,
         proxy_grid_step=0.1,
     )
     result = run_campaign(spec)
@@ -153,17 +149,6 @@ def test_campaign_cells_and_samples():
     ):
         assert len(rows) == 1
         assert set(rows[0]) == set(columns)
-    # without keep_samples the arrays are dropped
-    lean = run_campaign(
-        CampaignSpec(
-            hurst_grid=(0.6,),
-            lengths=(32,),
-            replications=5,
-            base_seed=4,
-            proxy_grid_step=0.1,
-        )
-    )
-    assert lean.cell(0.6, 32, ZC).samples is None
 
 
 def test_campaign_moments_track_reference(benchmark_campaign):
@@ -197,7 +182,7 @@ def test_normality_study_summary(normality_study):
 
 def test_figure3_rejects_thin_studies():
     with pytest.raises(DomainError):
-        figure3_data((0.5,), 64, 999, base_seed=1)
+        figure3_data(CampaignSpec(hurst_grid=(0.5,), lengths=(64,), replications=999, base_seed=1))
 
 
 def test_figure3_rejects_degenerate_cell():
@@ -206,7 +191,15 @@ def test_figure3_rejects_degenerate_cell():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DomainError, match=r"H=1\.0, n=128"):
-            figure3_data((1.0,), 128, 1000, base_seed=5, proxy_grid_step=0.1)
+            figure3_data(
+                CampaignSpec(
+                    hurst_grid=(1.0,),
+                    lengths=(128,),
+                    replications=1000,
+                    base_seed=5,
+                    proxy_grid_step=0.1,
+                )
+            )
 
 
 def test_figure1_rows():
