@@ -17,10 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadLength, DomainError, InputError
+from .errors import BadLength, DomainError
 from .fbm import as_hurst
 from .orthant import DEFAULT_QUADRATURE, QuadratureConfig
-from .patterns import change_indicator_count
+from .patterns import _finite_series, change_indicator_count
 from .variance import DEFAULT_VARIANCE, VarianceApproxConfig, change_prob, var_c_approx
 
 # Fixed normal quantile for the two-sided 95% interval.
@@ -131,15 +131,6 @@ def zc_interval(h: float, var_c: float) -> tuple:
     return s_n, bias, max(h - half, 0.0), min(h + half, 1.0)
 
 
-def _finite_series(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise InputError(f"series value at index {bad} is {arr.flat[bad]}, not finite")
-    return arr
-
-
 def zc_estimate(x, cfg: ZcConfig = DEFAULT_ZC) -> EstimateReport:
     """Zero-crossing estimate with 95% interval and asymptotic diagnostics.
 
@@ -148,7 +139,7 @@ def zc_estimate(x, cfg: ZcConfig = DEFAULT_ZC) -> EstimateReport:
     to a zero-width interval at 1).  NaN or infinite values raise
     InputError.
     """
-    changes, n = change_indicator_count(_finite_series(x))
+    changes, n = change_indicator_count(x)
     c_hat = changes / n
     h_hat = g(c_hat)
     var_c = _var_of_c(max(h_hat, H_FLOOR), n, cfg)

@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadLength, DomainError
+from .errors import BadLength, DomainError, InputError
 
 # Counting is vectorized over windows; this bounds the scratch arrays.
 _CHUNK_WINDOWS = 1 << 17
 
-# (d+1)! bincount slots get silly fast; counting is meant for small orders.
+# Each window costs (d+1)^2 pairwise comparisons, and the PatternCounts dict
+# can hold up to (d+1)! patterns; counting is meant for small orders.
 _MAX_ORDER = 10
 
 
@@ -29,11 +30,31 @@ def _factorials(d: int) -> np.ndarray:
     return np.array([math.factorial(d - l) for l in range(d + 1)], dtype=np.int64)
 
 
+def _finite_series(x) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise InputError(f"series value at index {bad} is {arr.flat[bad]}, not finite")
+    return arr
+
+
+def _ranks(windows: np.ndarray) -> np.ndarray:
+    """Positions along the last axis, largest value first; on ties the earlier."""
+    return np.argsort(-windows, axis=-1, kind="stable")
+
+
+def _lehmer_codes(perms: np.ndarray) -> np.ndarray:
+    """Lehmer codes of permutations of 0..d laid along the last axis."""
+    later_smaller = np.triu(perms[..., :, None] > perms[..., None, :], k=1)
+    return later_smaller.sum(axis=-1) @ _factorials(perms.shape[-1] - 1)
+
+
 @dataclass(frozen=True)
 class Pattern:
     """An ordinal pattern: a permutation of {0..d}, plus its Lehmer code.
 
-    The dense code in [0, (d+1)!) is what the counting kernel histograms;
+    The dense code in [0, (d+1)!) is what the counting kernel tallies;
     the permutation form is what humans and the algebra below use.
     """
 
@@ -53,13 +74,7 @@ class Pattern:
 
     @property
     def code(self) -> int:
-        d = self.d
-        fact = _factorials(d)
-        total = 0
-        for l in range(d + 1):
-            smaller_later = sum(1 for m in range(l + 1, d + 1) if self.perm[m] < self.perm[l])
-            total += smaller_later * int(fact[l])
-        return total
+        return int(_lehmer_codes(np.array(self.perm)))
 
     @classmethod
     def from_code(cls, code: int, d: int) -> "Pattern":
@@ -102,23 +117,16 @@ def pattern_class(p: Pattern) -> PatternClass:
 
 
 def pattern_of_values(x) -> Pattern:
-    """Ordinal pattern of one window of d+1 values.
-
-    Sorting positions by (value descending, position ascending) realizes the
-    tie rule: equal values keep original order under a stable sort of the
-    negated values, which ranks the earlier one higher.
-    """
-    arr = np.asarray(x, dtype=float)
+    """Ordinal pattern of one window of d+1 values."""
+    arr = _finite_series(x)
     if arr.ndim != 1 or arr.size < 2:
         raise BadLength(f"need at least 2 values in one window, got shape {arr.shape}")
-    d = arr.size - 1
-    j_seq = np.argsort(-arr, kind="stable")
-    return Pattern(tuple(int(d - j) for j in j_seq))
+    return Pattern(tuple((arr.size - 1 - _ranks(arr)).tolist()))
 
 
 def pattern_of_increments(y) -> Pattern:
     """Pattern of the partial-sum values (0, y_1, y_1+y_2, ...)."""
-    arr = np.asarray(y, dtype=float)
+    arr = _finite_series(y)
     if arr.ndim != 1 or arr.size < 1:
         raise BadLength(f"need at least 1 increment, got shape {arr.shape}")
     return pattern_of_values(np.concatenate(([0.0], np.cumsum(arr))))
@@ -144,42 +152,26 @@ class PatternCounts:
         return PatternCounts(d=self.d, n=self.n + other.n, counts=merged)
 
 
-def _window_codes(win: np.ndarray) -> np.ndarray:
-    """Lehmer codes for a (w, d+1) block of windows.
-
-    pos(j) = #{i : x_i beats x_j} with "beats" = greater, or equal at an
-    earlier position; r then satisfies r[pos(j)] = d - j.  Both steps are
-    pairwise comparisons, fine for the small d this package targets.
-    """
-    w, width = win.shape
-    d = width - 1
-    i_before_j = np.triu(np.ones((width, width), dtype=bool), k=1)
-    beats = win[:, :, None] > win[:, None, :]
-    beats |= (win[:, :, None] == win[:, None, :]) & i_before_j[None, :, :]
-    pos = beats.sum(axis=1)
-    r = np.empty((w, width), dtype=np.int64)
-    np.put_along_axis(r, pos, np.broadcast_to(d - np.arange(width), (w, width)), axis=1)
-    later_smaller = (r[:, :, None] > r[:, None, :]) & i_before_j[None, :, :]
-    digits = later_smaller.sum(axis=2)
-    return digits @ _factorials(d)
-
-
 def count_patterns(x, d: int) -> PatternCounts:
-    """Histogram of order-d patterns over every sliding window of x."""
+    """Histogram of order-d patterns over every sliding window of x.
+
+    Each chunk of windows is reduced to its distinct codes, so memory grows
+    with the chunk and the patterns seen, not with (d+1)!.
+    """
     if not 1 <= d <= _MAX_ORDER:
         raise DomainError(f"order must be in 1..{_MAX_ORDER}, got {d}")
-    arr = np.asarray(x, dtype=float)
+    arr = _finite_series(x)
     if arr.ndim != 1 or arr.size < d + 1:
         raise BadLength(f"need at least d+1={d + 1} values, got {arr.size}")
     windows = sliding_window_view(arr, d + 1)
     n = windows.shape[0]
-    hist = np.zeros(math.factorial(d + 1), dtype=np.int64)
+    tally = {}
     for start in range(0, n, _CHUNK_WINDOWS):
-        codes = _window_codes(windows[start : start + _CHUNK_WINDOWS])
-        hist += np.bincount(codes, minlength=hist.size)
-    counts = {
-        Pattern.from_code(code, d): int(hist[code]) for code in np.flatnonzero(hist)
-    }
+        perms = d - _ranks(windows[start : start + _CHUNK_WINDOWS])
+        codes, hits = np.unique(_lehmer_codes(perms), return_counts=True)
+        for code, hit in zip(codes.tolist(), hits.tolist()):
+            tally[code] = tally.get(code, 0) + hit
+    counts = {Pattern.from_code(code, d): tally[code] for code in sorted(tally)}
     return PatternCounts(d=d, n=n, counts=counts)
 
 
@@ -206,7 +198,7 @@ def change_indicator_count(x) -> tuple:
     changes/windows is the zero-crossing rate of the first differences, and
     equals 4 * p_bar of the d=2 change class exactly, ties included.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _finite_series(x)
     if arr.ndim != 1 or arr.size < 3:
         raise BadLength(f"need at least 3 values, got {arr.size}")
     a, b, c = arr[:-2], arr[1:-1], arr[2:]

@@ -12,6 +12,7 @@ threshold itself is the k_threshold table this module computes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,13 +25,16 @@ from .orthant import DEFAULT_QUADRATURE, QuadratureConfig, orthant4_excess
 _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
 
-# Exact-gamma values are memoized as {(H, nodes, abs_tol): {k: gamma}};
-# idempotent writes, safe under concurrent readers.
-_GAMMA_CACHE: dict = {}
-_THRESHOLD_CACHE: dict = {}
-
 # Lags per gamma_exact call in k_threshold; larger blocks only cost memory.
 _BLOCK = 16
+
+
+def _check_order(m: int) -> None:
+    if m < 1:
+        raise DomainError(f"Taylor order must be >= 1, got {m}")
+    if m > 3:
+        raise UnsupportedOrder(f"derivatives beyond order 6 are not implemented (m={m})")
+
 
 @dataclass(frozen=True)
 class VarianceApproxConfig:
@@ -41,8 +45,7 @@ class VarianceApproxConfig:
     n_tilde_cap: int = 250
 
     def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"Taylor order must be >= 1, got {self.m}")
+        _check_order(self.m)
         if not self.eps > 0:
             raise DomainError(f"eps must be positive, got {self.eps}")
         if self.n_tilde_cap < 2:
@@ -70,6 +73,16 @@ def gamma1(h) -> float:
     return math.asin(rho(hh, 2)) / _TWO_PI - (math.asin(rho(hh, 1)) / math.pi) ** 2
 
 
+@functools.lru_cache(maxsize=2048)
+def _gamma_memo(hh: float, q: QuadratureConfig) -> dict:
+    """The {k: gamma_exact} memo of one (H, quadrature); idempotent writes.
+
+    figure1 and the proxy grids revisit about a thousand H values once per
+    length, so maxsize stays well above that.
+    """
+    return {}
+
+
 def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
     """gamma_H(k) for k >= 2 via two orthant4 evaluations.
 
@@ -92,7 +105,7 @@ def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
         raise DomainError(f"gamma_exact needs k >= 2, got {min(lags)}")
     if hh in (0.5, 1.0):
         return 0.0 if np.ndim(k) == 0 else np.zeros(len(lags))
-    cache = _GAMMA_CACHE.setdefault((hh, q.nodes, q.abs_tol), {})
+    cache = _gamma_memo(hh, q)
     misses = [v for v in dict.fromkeys(lags) if v not in cache]
     if misses:
         # Scalar rho: numpy's pow may differ in the last ulp (see fbm.rho).
@@ -130,10 +143,7 @@ def _taylor_coeffs(hh: float, m: int) -> list:
     a_l = 4 * D_{2l}(rho_1)/(2l)! where D_{2l} is the 2l-th derivative of
     the lag functional along its correlation-tail direction at tail 0.
     """
-    if m < 1:
-        raise DomainError(f"Taylor order must be >= 1, got {m}")
-    if m > 3:
-        raise UnsupportedOrder(f"derivatives beyond order 6 are not implemented (m={m})")
+    _check_order(m)
     r = rho(hh, 1)
     d2 = (1.0 - r) / (_PI_SQ * (1.0 + r))
     d4 = 4.0 * (1.0 - r) * (2.0 + r) ** 2 / (_PI_SQ * (1.0 + r) ** 3)
@@ -180,12 +190,6 @@ def k_threshold(
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     coeffs = _taylor_coeffs(hh, m)  # also validates the order before searching
-    key = (hh, m, eps, q.nodes, q.abs_tol)
-    hit = _THRESHOLD_CACHE.get(key)
-    if hit is not None:
-        if hit > k_max:
-            raise CapReached(k_max)
-        return hit
     for start in range(2, k_max + 1, _BLOCK):
         ks = np.arange(start, min(start + _BLOCK, k_max + 1))
         try:
@@ -195,7 +199,6 @@ def k_threshold(
             block = (gamma_exact(hh, k, q) for k in ks.tolist())
         for k, exact in zip(ks.tolist(), block):
             if exact != 0.0 and abs(_taylor_series(hh, k, coeffs) - exact) / abs(exact) < eps:
-                _THRESHOLD_CACHE[key] = k
                 return k
     raise CapReached(k_max)
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zchurst import (
     BadLength,
@@ -37,9 +39,16 @@ def test_g_anchor_values():
             g(bad)
 
 
-def test_g_inverts_change_prob():
-    for h in (0.05, 0.25, 0.5, 0.75, 0.95, 1.0):
-        assert abs(g(change_prob(h)) - h) <= 1e-12
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(0.0, 1.0, exclude_min=True))
+@example(h=0.05)
+@example(h=0.25)
+@example(h=0.5)
+@example(h=0.75)
+@example(h=0.95)
+@example(h=1.0)
+def test_g_inverts_change_prob(h):
+    assert abs(g(change_prob(h)) - h) <= 1e-12
 
 
 def test_g_monotone_decreasing():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from zchurst import (
     BadLength,
     DomainError,
+    InputError,
     Pattern,
     alpha,
     beta,
@@ -50,8 +51,10 @@ def _selection_oracle(window):
 def test_pattern_extraction_exhaustive():
     for d in range(1, 5):
         for window in itertools.product(range(6), repeat=d + 1):
-            got = pattern_of_values(np.array(window, dtype=np.float64))
-            assert got.perm == _selection_oracle(window), window
+            x = np.array(window, dtype=np.float64)
+            want = Pattern(_selection_oracle(window))
+            assert pattern_of_values(x) == want, window
+            assert count_patterns(x, d).counts == {want: 1}, window
 
 
 def test_tie_goes_to_the_earlier_value():
@@ -69,6 +72,21 @@ def test_pattern_validation():
         Pattern((0,))
     with pytest.raises(BadLength):
         pattern_of_values(np.array([1.0]))
+
+
+def test_non_finite_values_are_refused():
+    readers = (
+        pattern_of_values,
+        pattern_of_increments,
+        lambda x: count_patterns(x, 2),
+        change_indicator_count,
+    )
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.arange(8, dtype=np.float64)
+        x[5] = bad
+        for read in readers:
+            with pytest.raises(InputError, match="index 5 is"):
+                read(x)
 
 
 def test_lehmer_code_bijection():

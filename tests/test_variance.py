@@ -7,7 +7,6 @@ aggregates built on top of them.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,11 +148,6 @@ def test_table1_last_cell_is_a_rounding_edge():
     assert above - 1.0 < 1e-5
 
 
-def _fresh_caches():
-    """Empty gamma and threshold caches for the duration of a with block."""
-    return mock.patch.multiple(variance, _GAMMA_CACHE={}, _THRESHOLD_CACHE={})
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     h=st.one_of(st.floats(0.02, 0.98), st.sampled_from([0.5, 1.0])),
@@ -162,10 +156,10 @@ def _fresh_caches():
 )
 def test_gamma_exact_blocks_equal_single_lags(h, first, count):
     ks = np.arange(first, min(first + count, 401))
-    with _fresh_caches():
-        block = gamma_exact(h, ks)
-    with _fresh_caches():
-        single = np.array([gamma_exact(h, int(k)) for k in ks])
+    variance._gamma_memo.cache_clear()
+    block = gamma_exact(h, ks)
+    variance._gamma_memo.cache_clear()
+    single = np.array([gamma_exact(h, int(k)) for k in ks])
     assert block.tobytes() == single.tobytes()
     if h in (0.5, 1.0):
         assert block.tobytes() == np.zeros(len(ks)).tobytes()
@@ -192,14 +186,14 @@ def test_blocked_k_threshold_equals_linear_scan():
         (0.95, 0.01, 100, None),
     )
     for h, eps, k_max, expected in cases:
-        with _fresh_caches():
-            assert _linear_threshold(h, 3, eps, k_max) == expected
-        with _fresh_caches():
-            if expected is None:
-                with pytest.raises(CapReached):
-                    k_threshold(h, 3, eps, k_max=k_max)
-            else:
-                assert k_threshold(h, 3, eps, k_max=k_max) == expected
+        variance._gamma_memo.cache_clear()
+        assert _linear_threshold(h, 3, eps, k_max) == expected
+        variance._gamma_memo.cache_clear()
+        if expected is None:
+            with pytest.raises(CapReached):
+                k_threshold(h, 3, eps, k_max=k_max)
+        else:
+            assert k_threshold(h, 3, eps, k_max=k_max) == expected
 
 
 def test_blocks_raise_only_for_the_lowest_lag_used(monkeypatch):
@@ -218,17 +212,17 @@ def test_blocks_raise_only_for_the_lowest_lag_used(monkeypatch):
 
     # k_threshold(0.55, 3, 0.01) is 9, and its first block holds lags 2..17
     fail_rows(plus12=rho(0.55, 12))
-    with _fresh_caches():
-        assert k_threshold(0.55, 3, 0.01) == 9
+    variance._gamma_memo.cache_clear()
+    assert k_threshold(0.55, 3, 0.01) == 9
     fail_rows(plus5=rho(0.55, 5))
-    with _fresh_caches():
-        with pytest.raises(QuadratureNotConverged, match="plus5"):
-            k_threshold(0.55, 3, 0.01)
+    variance._gamma_memo.cache_clear()
+    with pytest.raises(QuadratureNotConverged, match="plus5"):
+        k_threshold(0.55, 3, 0.01)
     # the s = +1 rows go first, but lag 5 fails before lag 7 does
     fail_rows(plus7=rho(0.55, 7), minus5=-rho(0.55, 5))
-    with _fresh_caches():
-        with pytest.raises(QuadratureNotConverged, match="minus5"):
-            gamma_exact(0.55, np.arange(2, 18))
+    variance._gamma_memo.cache_clear()
+    with pytest.raises(QuadratureNotConverged, match="minus5"):
+        gamma_exact(0.55, np.arange(2, 18))
 
 
 def test_orthant_batches_are_chunked(monkeypatch):
@@ -241,14 +235,29 @@ def test_orthant_batches_are_chunked(monkeypatch):
 
     ks = np.arange(2, 2002)
     monkeypatch.setattr(orthant, "_path_integral", path_integral)
-    with _fresh_caches():
-        chunked = gamma_exact(0.65, ks)
+    variance._gamma_memo.cache_clear()
+    chunked = gamma_exact(0.65, ks)
     assert max(batches) == orthant._CHUNK
     monkeypatch.setattr(orthant, "_CHUNK", len(ks))
-    with _fresh_caches():
-        whole = gamma_exact(0.65, ks)
+    variance._gamma_memo.cache_clear()
+    whole = gamma_exact(0.65, ks)
     assert max(batches) == len(ks)
     assert chunked.tobytes() == whole.tobytes()
+
+
+def test_gamma_memo_is_bounded():
+    memo = variance._gamma_memo
+    maxsize = memo.cache_info().maxsize
+    memo.cache_clear()
+    hs = np.linspace(0.1, 0.4, maxsize + 1).tolist()
+    for h in hs:
+        gamma_exact(h, 2)
+    assert memo.cache_info().currsize == maxsize
+    misses = memo.cache_info().misses
+    gamma_exact(hs[-1], 2)
+    assert memo.cache_info().misses == misses
+    gamma_exact(hs[0], 2)  # the oldest H was the one evicted
+    assert memo.cache_info().misses == misses + 1
 
 
 def test_var_c_exact_anchors():
@@ -291,6 +300,8 @@ def test_variance_config_validation():
         VarianceApproxConfig(m=3, eps=0.0)
     with pytest.raises(DomainError):
         VarianceApproxConfig(m=3, eps=0.01, n_tilde_cap=1)
+    with pytest.raises(UnsupportedOrder):
+        VarianceApproxConfig(m=4)
 
 
 def test_var_c_asymptotic_domain_and_boundary():
