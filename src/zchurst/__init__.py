@@ -64,9 +64,7 @@ from .variance import (
     var_c_exact,
 )
 from .estimators import (
-    DEFAULT_ZC,
     EstimateReport,
-    ZcConfig,
     asymptotic_expectation,
     asymptotic_variance,
     coverage_limit,

@@ -20,7 +20,7 @@ import sys
 import typing
 
 from .errors import InputError, NumericalError
-from .estimators import ZcConfig, heaf_estimate, zc_estimate
+from .estimators import heaf_estimate, zc_estimate
 from .harness import (
     DEFAULT_REPLICATIONS,
     FIGURE1_COLUMNS,
@@ -136,8 +136,7 @@ def cmd_estimate(args, out) -> int:
     values = _read_series(args.file)
     settings = resolve_settings(args)
     if args.method == "zc":
-        cfg = ZcConfig(variance=settings.variance(), quadrature=settings.quadrature())
-        report = zc_estimate(values, cfg)
+        report = zc_estimate(values, settings.variance(), settings.quadrature())
     else:
         report = heaf_estimate(values)
     if args.json:

@@ -71,23 +71,6 @@ def coverage_limit() -> float:
 
 
 @dataclass(frozen=True)
-class ZcConfig:
-    """Configuration for zc_estimate's variance plug-in.
-
-    var_c, when set, replaces var_c_approx as the source of Var_H(c_n);
-    campaigns inject an interpolating table here so the quadrature runs
-    once per grid point instead of once per replication.
-    """
-
-    variance: VarianceApproxConfig = DEFAULT_VARIANCE
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE
-    var_c: Optional[Callable[[float, int], float]] = None
-
-
-DEFAULT_ZC = ZcConfig()
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     """One estimator run on one series.
 
@@ -109,12 +92,6 @@ class EstimateReport:
     degenerate: bool = False
 
 
-def _var_of_c(h_eval: float, n: int, cfg: ZcConfig) -> float:
-    if cfg.var_c is not None:
-        return cfg.var_c(h_eval, n)
-    return var_c_approx(h_eval, n, cfg.variance, cfg.quadrature)
-
-
 def zc_interval(h: float, var_c: float) -> tuple:
     """(s_n, bias, ci_low, ci_high) at estimate h, given Var_H(c_n).
 
@@ -131,19 +108,27 @@ def zc_interval(h: float, var_c: float) -> tuple:
     return s_n, bias, max(h - half, 0.0), min(h + half, 1.0)
 
 
-def zc_estimate(x, cfg: ZcConfig = DEFAULT_ZC) -> EstimateReport:
+def zc_estimate(
+    x,
+    cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
+    q: QuadratureConfig = DEFAULT_QUADRATURE,
+    var_c: Optional[Callable[[float, int], float]] = None,
+) -> EstimateReport:
     """Zero-crossing estimate with 95% interval and asymptotic diagnostics.
 
     s_n and the bias/variance diagnostics are plug-in values at H = h_hat
     (the H -> 0 boundary evaluated at H_FLOOR, and h_hat = 1 degenerating
-    to a zero-width interval at 1).  NaN or infinite values raise
-    InputError.
+    to a zero-width interval at 1).  Var_H(c_n) there is var_c_approx(h,
+    n, cfg, q), or var_c(h, n) when var_c is given: campaigns pass an
+    interpolating table so the quadrature runs once per grid point instead
+    of once per replication.  NaN or infinite values raise InputError.
     """
     changes, n = change_indicator_count(x)
     c_hat = changes / n
     h_hat = g(c_hat)
-    var_c = _var_of_c(max(h_hat, H_FLOOR), n, cfg)
-    s_n, bias, ci_low, ci_high = zc_interval(h_hat, var_c)
+    h_eval = max(h_hat, H_FLOOR)
+    variance = var_c(h_eval, n) if var_c is not None else var_c_approx(h_eval, n, cfg, q)
+    s_n, bias, ci_low, ci_high = zc_interval(h_hat, variance)
     return EstimateReport(
         method="ZC",
         h_hat=h_hat,

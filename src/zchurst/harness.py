@@ -9,8 +9,8 @@ summation.
 
 The expensive part of one replication would be Var_H(c_n) at the estimated
 H (quadrature per call); campaigns instead precompute n * Var on an H grid
-once per length and interpolate linearly, which is the var_c hook on
-ZcConfig.
+once per length and interpolate linearly, and pass that table to
+zc_estimate as its var_c.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import CapReached, DomainError, NumericalError
 from .estimators import (
     H_FLOOR,
-    ZcConfig,
     asymptotic_expectation,
     asymptotic_variance,
     heaf_estimate,
@@ -195,7 +194,7 @@ def _run_block(block: _Block):
     covered = np.zeros(count, dtype=bool)
     heaf_h = np.full(count, np.nan)
     failed = np.zeros(count, dtype=bool)
-    cfg = ZcConfig(var_c=block.proxy.var_c) if block.proxy is not None else None
+    var_c = block.proxy.var_c if block.proxy is not None else None
     for i in range(count):
         seed = derive_seed(block.base_seed, block.h_index, block.n_index, block.start + i)
         try:
@@ -203,8 +202,8 @@ def _run_block(block: _Block):
         except NumericalError:
             failed[i] = True
             continue
-        if cfg is not None:
-            report = zc_estimate(path.levels, cfg)
+        if var_c is not None:
+            report = zc_estimate(path.levels, var_c=var_c)
             zc_h[i] = report.h_hat
             covered[i] = report.ci_low <= block.h <= report.ci_high
         if block.heaf:

@@ -122,19 +122,12 @@ def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
     return values[0] if np.ndim(k) == 0 else np.array(values)
 
 
-def _asymptotic_prefactor(hh: float) -> float:
-    r1 = rho(hh, 1)
-    return 2.0 * (1.0 - r1) / (_PI_SQ * (1.0 + r1)) * (hh * (2.0 * hh - 1.0)) ** 2
-
-
 def gamma_asymptotic(h, k: int) -> float:
-    """Leading-order tail of gamma_H(k); 0 at H in {1/2, 1} (both degenerate)."""
+    """Leading-order tail of gamma_H(k), the order-1 Taylor form; 0 at H in {1/2, 1}."""
     hh = as_hurst(h)
     if k < 1:
         raise DomainError(f"lag must be positive, got {k}")
-    if hh == 1.0:
-        return 0.0
-    return _asymptotic_prefactor(hh) * float(k) ** (4.0 * hh - 4.0)
+    return _taylor_series(hh, float(k), _taylor_coeffs(hh, 1))
 
 
 def _taylor_coeffs(hh: float, m: int) -> list:
@@ -203,8 +196,15 @@ def k_threshold(
     raise CapReached(k_max)
 
 
-def _weighted_gamma_sum(hh: float, n: int, n_tilde: int, m: int, q: QuadratureConfig) -> float:
-    """2 * sum_{k=1}^{n-1} (n-k) gamma(k), exact below n_tilde, Taylor from it."""
+def _var_c(hh: float, n: int, n_tilde: int, m: int, q: QuadratureConfig) -> float:
+    """(n gamma(0) + 2 sum_{k=1}^{n-1} (n-k) gamma(k)) / n^2.
+
+    Lags below n_tilde are exact; from n_tilde on the order-m Taylor form.
+    """
+    if n < 1:
+        raise DomainError(f"need n >= 1 windows, got {n}")
+    if hh == 1.0:
+        return 0.0
     head_top = min(n_tilde, n)
     ks = np.arange(2, head_top)
     acc = (n - 1) * gamma1(hh)
@@ -214,18 +214,12 @@ def _weighted_gamma_sum(hh: float, n: int, n_tilde: int, m: int, q: QuadratureCo
     if head_top < n:
         ks = np.arange(head_top, n, dtype=float)
         acc += float(np.sum((n - ks) * _taylor_series(hh, ks, _taylor_coeffs(hh, m))))
-    return 2.0 * acc
+    return (n * gamma0(hh) + 2.0 * acc) / (n * n)
 
 
 def var_c_exact(h, n: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Var_H(c_n) with every lag evaluated exactly; intended for n <= ~2000."""
-    hh = as_hurst(h)
-    if n < 1:
-        raise DomainError(f"need n >= 1 windows, got {n}")
-    if hh == 1.0:
-        return 0.0
-    total = n * gamma0(hh) + _weighted_gamma_sum(hh, n, n_tilde=n, m=3, q=q)
-    return total / (n * n)
+    return _var_c(as_hurst(h), n, n, 3, q)
 
 
 def var_c_approx(
@@ -237,25 +231,17 @@ def var_c_approx(
     """Var_H(c_n) with the exact head / Taylor tail split at the n_tilde rule.
 
     n_tilde = min(k_threshold(h, m, eps), n_tilde_cap, n); the capped search
-    never scans lags the cap would discard anyway.
+    never scans lags the cap would discard anyway, and there is no search at
+    H in {1/2, 1}, where gamma vanishes identically.
     """
     hh = as_hurst(h)
-    if n < 1:
-        raise DomainError(f"need n >= 1 windows, got {n}")
-    if hh == 1.0:
-        return 0.0
-    if hh == 0.5:
-        return 0.25 / n
-    cap = min(cfg.n_tilde_cap, n)
-    if n <= 2:
-        n_tilde = n
-    else:
+    n_tilde = min(cfg.n_tilde_cap, n)
+    if n > 2 and hh not in (0.5, 1.0):
         try:
-            n_tilde = k_threshold(hh, cfg.m, cfg.eps, q, k_max=cap)
+            n_tilde = k_threshold(hh, cfg.m, cfg.eps, q, k_max=n_tilde)
         except CapReached:
-            n_tilde = cap
-    total = n * gamma0(hh) + _weighted_gamma_sum(hh, n, n_tilde=n_tilde, m=cfg.m, q=q)
-    return total / (n * n)
+            pass
+    return _var_c(hh, n, n_tilde, cfg.m, q)
 
 
 def var_c_asymptotic(h, n: int) -> float:

@@ -12,7 +12,6 @@ from zchurst import (
     BadLength,
     DomainError,
     InputError,
-    ZcConfig,
     asymptotic_expectation,
     asymptotic_variance,
     change_prob,
@@ -131,8 +130,7 @@ def test_zc_degenerate_inputs_stay_finite():
 
 def test_zc_variance_injection():
     x = np.cumsum(np.random.default_rng(5).standard_normal(200))
-    cfg = ZcConfig(var_c=lambda h, n: 0.001)
-    report = zc_estimate(x, cfg)
+    report = zc_estimate(x, var_c=lambda h, n: 0.001)
     assert report.s_n == g_prime(report.statistic) ** 2 * 0.001
 
 

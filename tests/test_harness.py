@@ -269,14 +269,12 @@ def test_replication_throughput_smoke():
     import time
 
     from zchurst import heaf_estimate, synthesize, zc_estimate
-    from zchurst.estimators import ZcConfig
 
-    cfg = ZcConfig(var_c=lambda h, n: 0.001 / n)
     times = []
     for i in range(20):
         t0 = time.perf_counter()
         path = synthesize(0.7, 8192, seed=i)
-        zc_estimate(path.levels, cfg)
+        zc_estimate(path.levels, var_c=lambda h, n: 0.001 / n)
         heaf_estimate(path.levels)
         times.append(time.perf_counter() - t0)
     assert sorted(times)[len(times) // 2] < 0.05

@@ -94,9 +94,7 @@ def test_gamma_magnitude_decays_in_k():
 def test_gamma_taylor_order1_is_the_asymptotic_form():
     for h in (0.1, 0.3, 0.6, 0.85, 0.97):
         for k in (5, 50, 500):
-            t1 = gamma_taylor(h, k, 1)
-            asym = gamma_asymptotic(h, k)
-            assert abs(t1 - asym) <= 1e-15 * abs(asym)
+            assert gamma_asymptotic(h, k) == gamma_taylor(h, k, 1)
     assert gamma_asymptotic(0.5, 10) == 0.0
     assert gamma_asymptotic(1.0, 10) == 0.0
 
@@ -263,6 +261,7 @@ def test_gamma_memo_is_bounded():
 def test_var_c_exact_anchors():
     for n in (10, 100, 1000):
         assert var_c_exact(0.5, n) == 0.25 / n
+        assert var_c_approx(0.5, n) == 0.25 / n
     assert var_c_exact(1.0, 64) == 0.0
     with pytest.raises(DomainError):
         var_c_exact(0.7, 0)
@@ -291,6 +290,11 @@ def test_var_c_approx_tracks_exact():
     small_cap = VarianceApproxConfig(m=3, eps=0.01, n_tilde_cap=10)
     v = var_c_approx(0.85, 4096, small_cap)
     assert 0.0 < v < 1.0
+    # with no lag accurate enough for the Taylor tail, every lag is exact
+    for h in (0.3, 0.5, 0.7):
+        for n in (1, 2, 3, 64):
+            all_exact = VarianceApproxConfig(m=3, eps=1e-300, n_tilde_cap=max(n, 2))
+            assert var_c_approx(h, n, all_exact) == var_c_exact(h, n), (h, n)
 
 
 def test_variance_config_validation():
