@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedOrder,
     ZchurstError,
 )
-from .fbm import SamplePath, as_hurst, rho, rho_asymptotic, rho_sequence, synthesize
+from .fbm import SamplePath, as_hurst, rho, rho_sequence, synthesize
 from .patterns import (
     Pattern,
     PatternClass,
@@ -33,7 +33,6 @@ from .patterns import (
     p_bar,
     p_hat,
     pattern_class,
-    pattern_of_increments,
     pattern_of_values,
 )
 from .orthant import (
@@ -41,21 +40,16 @@ from .orthant import (
     OrthantSpec4,
     QuadratureConfig,
     orthant2,
-    orthant3,
     orthant4,
     orthant4_excess,
     orthant4_mc,
-    plackett_partials,
 )
 from .variance import (
     DEFAULT_VARIANCE,
     VarianceApproxConfig,
     change_prob,
-    f_infinity,
-    f_n,
     gamma0,
     gamma1,
-    gamma_asymptotic,
     gamma_exact,
     gamma_taylor,
     k_threshold,
@@ -67,7 +61,6 @@ from .estimators import (
     EstimateReport,
     asymptotic_expectation,
     asymptotic_variance,
-    coverage_limit,
     g,
     g_prime,
     g_second,

@@ -61,15 +61,6 @@ def g_second(x: float) -> float:
     return -math.pi * math.pi / (4.0 * _LN2) / (s * s)
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def coverage_limit() -> float:
-    """Nominal large-n coverage of the 95% interval, 2 Phi(1.96) - 1."""
-    return 2.0 * _norm_cdf(Z95) - 1.0
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """One estimator run on one series.
@@ -143,7 +134,9 @@ def zc_estimate(
 
 
 def heaf_transform(rho_hat: float) -> float:
-    """H = (1 + log2(1 + max(-1/2, rho_hat))) / 2."""
+    """H = (1 + log2(1 + max(-1/2, rho_hat))) / 2; a non-finite rho_hat is refused."""
+    if not math.isfinite(rho_hat):
+        raise DomainError(f"lag-1 correlation must be finite, got {rho_hat!r}")
     return 0.5 * (1.0 + math.log2(1.0 + max(-0.5, rho_hat)))
 
 

@@ -66,14 +66,6 @@ def rho_sequence(h, k_max: int) -> np.ndarray:
     return out
 
 
-def rho_asymptotic(h, k: int) -> float:
-    """Leading-order tail H(2H-1)k^(2H-2) of rho(h, k)."""
-    hh = as_hurst(h)
-    if k < 1:
-        raise DomainError(f"lag must be positive, got {k}")
-    return hh * (2.0 * hh - 1.0) * float(k) ** (2.0 * hh - 2.0)
-
-
 @dataclass(frozen=True)
 class SamplePath:
     """One synthesized path: increments Y_k and levels X_k (X_0 = 0)."""

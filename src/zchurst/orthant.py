@@ -1,7 +1,7 @@
 """Gaussian orthant probabilities for the structured 4x4 correlation family.
 
-Dimensions 2 and 3 have arcsine closed forms.  The 4-dim case needed here
-has the four-parameter matrix
+Dimension 2 has an arcsine closed form.  The 4-dim case needed here has the
+four-parameter matrix
 
     Sigma(r) = [[1,  r1, r2, r3],
                 [r1, 1,  r4, r2],
@@ -131,22 +131,9 @@ def _nodes01(count: int):
 
 def orthant2(rho12: float) -> float:
     """P(Z1 > 0, Z2 > 0) for correlation rho12: 1/4 + arcsin(rho12)/(2 pi)."""
-    if abs(rho12) >= 1.0:
+    if not abs(rho12) < 1.0:  # also NaN
         raise DegenerateCorrelation(f"|rho| must be < 1, got {rho12}")
     return 0.25 + math.asin(rho12) / (2.0 * math.pi)
-
-
-def orthant3(rho12: float, rho13: float, rho23: float) -> float:
-    """Trivariate orthant probability, arcsine closed form."""
-    # its matrix is the leading 3x3 block of Sigma(rho12, rho13, r3, rho23), any r3
-    if np.min(_leading_minors(np.array([[rho12, rho13, 0.0, rho23]]))[0, :2]) <= PD_TOL:
-        raise NotPositiveDefinite(
-            f"3x3 correlation matrix not strictly positive definite: "
-            f"({rho12}, {rho13}, {rho23})"
-        )
-    return 0.125 + (math.asin(rho12) + math.asin(rho13) + math.asin(rho23)) / (
-        4.0 * math.pi
-    )
 
 
 def _clamped_arcsin(arg: np.ndarray) -> np.ndarray:
@@ -176,11 +163,6 @@ def _partials(r1, r2, r3, r4):
     d3 = (0.25 + a3 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - r3 * r3))
     d4 = (0.25 + a4 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - r4 * r4))
     return d2, d3, d4
-
-
-def plackett_partials(s: OrthantSpec4):
-    """d(orthant probability)/dr_i at s for i = 2, 3, 4."""
-    return tuple(float(d) for d in _partials(*map(np.float64, s.r)))
 
 
 def _path_integral(r, nodes: int) -> np.ndarray:

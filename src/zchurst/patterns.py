@@ -124,14 +124,6 @@ def pattern_of_values(x) -> Pattern:
     return Pattern(tuple((arr.size - 1 - _ranks(arr)).tolist()))
 
 
-def pattern_of_increments(y) -> Pattern:
-    """Pattern of the partial-sum values (0, y_1, y_1+y_2, ...)."""
-    arr = _finite_series(y)
-    if arr.ndim != 1 or arr.size < 1:
-        raise BadLength(f"need at least 1 increment, got shape {arr.shape}")
-    return pattern_of_values(np.concatenate(([0.0], np.cumsum(arr))))
-
-
 @dataclass(frozen=True)
 class PatternCounts:
     """Histogram of patterns over n sliding windows; counts sum to n."""
@@ -142,14 +134,6 @@ class PatternCounts:
 
     def get(self, p: Pattern) -> int:
         return self.counts.get(p, 0)
-
-    def __add__(self, other: "PatternCounts") -> "PatternCounts":
-        if self.d != other.d:
-            raise DomainError(f"cannot merge counts of order {self.d} and {other.d}")
-        merged = dict(self.counts)
-        for p, c in other.counts.items():
-            merged[p] = merged.get(p, 0) + c
-        return PatternCounts(d=self.d, n=self.n + other.n, counts=merged)
 
 
 def count_patterns(x, d: int) -> PatternCounts:

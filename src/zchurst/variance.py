@@ -122,14 +122,6 @@ def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
     return values[0] if np.ndim(k) == 0 else np.array(values)
 
 
-def gamma_asymptotic(h, k: int) -> float:
-    """Leading-order tail of gamma_H(k), the order-1 Taylor form; 0 at H in {1/2, 1}."""
-    hh = as_hurst(h)
-    if k < 1:
-        raise DomainError(f"lag must be positive, got {k}")
-    return _taylor_series(hh, float(k), _taylor_coeffs(hh, 1))
-
-
 def _taylor_coeffs(hh: float, m: int) -> list:
     """Per-order coefficients a_l with gamma_taylor = sum_l a_l * u^(2l).
 
@@ -256,56 +248,3 @@ def var_c_asymptotic(h, n: int) -> float:
     if hh == 0.75:
         return d_h * math.log(n) / n
     return d_h * float(n) ** (4.0 * hh - 4.0) / (4.0 * hh - 3.0)
-
-
-def f_n(
-    h,
-    n: int,
-    cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """n * Var_H(c_n); converges to f_infinity below H = 3/4."""
-    return n * var_c_approx(h, n, cfg, q)
-
-
-def _taylor_zeta_tail(hh: float, start: int, m: int) -> float:
-    """sum_{k >= start} gamma_taylor(k) in closed form via Hurwitz zeta."""
-    from scipy.special import zeta
-    coeffs = _taylor_coeffs(hh, m)
-    base = (hh * (2.0 * hh - 1.0)) ** 2
-    total = 0.0
-    power = base  # base^l, the k-free part of u^(2l)
-    for l, a in enumerate(coeffs, start=1):
-        s = 2.0 * l * (2.0 - 2.0 * hh)  # > 1 for every order when H < 3/4
-        total += a * power * float(zeta(s, start))
-        power *= base
-    return total
-
-
-def f_infinity(h, tail_tol: float = 1e-9, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """gamma(0) + 2 sum_{k>=1} gamma(k), summable exactly when H < 3/4.
-
-    Exact lags run to a threshold where the Taylor form is accurate to a
-    relative error sized so the absolute tail error stays below tail_tol;
-    the Taylor tail itself sums to infinity in closed form (Hurwitz zeta),
-    so tail_tol only pays for |gamma - gamma_taylor| past the threshold.
-    """
-    hh = as_hurst(h)
-    if hh >= 0.75:
-        raise DomainError(f"the series diverges for H >= 3/4, got {hh}")
-    if not tail_tol > 0:
-        raise DomainError(f"tail_tol must be positive, got {tail_tol}")
-    if hh == 0.5:
-        return 0.25
-    eps = 1e-3
-    start = k_threshold(hh, 3, eps, q, k_max=20_000)
-    tail = _taylor_zeta_tail(hh, start, 3)
-    if eps * abs(tail) > tail_tol / 2.0:
-        eps = max(tail_tol / (2.0 * abs(tail) + 1e-300), 1e-12)
-        start = k_threshold(hh, 3, eps, q, k_max=20_000)
-        tail = _taylor_zeta_tail(hh, start, 3)
-    head = gamma1(hh)
-    for value in gamma_exact(hh, np.arange(2, start), q).tolist():
-        head += value
-    return gamma0(hh) + 2.0 * (head + tail)
-

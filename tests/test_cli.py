@@ -7,9 +7,11 @@ import json
 import re
 import shutil
 import subprocess
+import types
 
 import pytest
 
+import zchurst
 from zchurst import cli, harness, synthesize, zc_estimate
 from zchurst.cli import build_parser, main, parse_config, resolve_settings
 from zchurst.errors import InputError
@@ -272,6 +274,37 @@ def test_reproduce_table3_deterministic_across_workers(tmp_path):
     assert main(base + ["--out", str(d1)]) == 0
     assert main(base + ["--workers", "2", "--out", str(d2)]) == 0
     assert (d1 / "table3.csv").read_bytes() == (d2 / "table3.csv").read_bytes()
+
+
+# Every public name is reached by a command, a CSV column, the acceptance
+# gate or another name here (grouped by module, errors to harness).  A new
+# export fails test_public_surface_is_the_kept_set until it is added here.
+PUBLIC_SURFACE = set(
+    """
+    ZchurstError InputError NumericalError BadLength CapReached DegenerateCorrelation
+    DomainError EmbeddingNotPSD NotPositiveDefinite QuadratureNotConverged UnsupportedOrder
+    SamplePath as_hurst rho rho_sequence synthesize
+    Pattern PatternClass PatternCounts alpha beta change_indicator_count count_patterns
+    p_bar p_hat pattern_class pattern_of_values
+    DEFAULT_QUADRATURE OrthantSpec4 QuadratureConfig orthant2 orthant4 orthant4_excess
+    orthant4_mc
+    DEFAULT_VARIANCE VarianceApproxConfig change_prob gamma0 gamma1 gamma_exact gamma_taylor
+    k_threshold var_c_approx var_c_asymptotic var_c_exact
+    EstimateReport asymptotic_expectation asymptotic_variance g g_prime g_second
+    heaf_estimate heaf_transform zc_estimate
+    CampaignResult CampaignSpec CellStats VarianceProxy csv_text derive_seed figure1_data
+    figure3_data run_campaign table1 table2_rows table3_rows variance_table_rows write_csv
+    """.split()
+)
+
+
+def test_public_surface_is_the_kept_set():
+    exported = {
+        name
+        for name, value in vars(zchurst).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_SURFACE
 
 
 def test_console_script_installed(series_file):

@@ -15,7 +15,6 @@ from zchurst import (
     asymptotic_expectation,
     asymptotic_variance,
     change_prob,
-    coverage_limit,
     g,
     g_prime,
     g_second,
@@ -141,6 +140,9 @@ def test_heaf_transform_anchors():
     assert heaf_transform(-0.5) == 0.0
     for h in (0.3, 0.5, 0.8):
         assert abs(heaf_transform(2.0 ** (2.0 * h - 1.0) - 1.0) - h) <= 1e-12
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=repr(bad)):
+            heaf_transform(bad)
 
 
 def test_heaf_report():
@@ -168,11 +170,6 @@ def test_estimators_refuse_non_finite_input():
         for estimate in (zc_estimate, heaf_estimate):
             with pytest.raises(InputError, match="index 100 is"):
                 estimate(y)
-
-
-def test_coverage_limit_value():
-    assert abs(coverage_limit() - math.erf(1.96 / math.sqrt(2.0))) <= 1e-14
-    assert abs(coverage_limit() - 0.95) <= 5e-5
 
 
 def test_asymptotic_summaries():

@@ -14,7 +14,6 @@ from zchurst import (
     DomainError,
     as_hurst,
     rho,
-    rho_asymptotic,
     rho_sequence,
     synthesize,
 )
@@ -60,10 +59,10 @@ def test_rho_sequence_matches_scalar():
 
 
 def test_rho_asymptotic_ratio():
+    # the tail follows the power law H(2H-1)k^(2H-2)
+    k = 1000
     for h in (0.1, 0.3, 0.7, 0.9):
-        k = 1000
-        assert abs(rho(h, k) / rho_asymptotic(h, k) - 1.0) <= 1e-4
-    assert rho_asymptotic(0.5, 10) == 0.0
+        assert abs(rho(h, k) / (h * (2.0 * h - 1.0) * k ** (2.0 * h - 2.0)) - 1.0) <= 1e-4
 
 
 def test_synthesize_shapes_and_levels():

@@ -23,11 +23,9 @@ from zchurst import (
     QuadratureConfig,
     QuadratureNotConverged,
     orthant2,
-    orthant3,
     orthant4,
     orthant4_excess,
     orthant4_mc,
-    plackett_partials,
     rho,
 )
 from zchurst.orthant import (
@@ -36,6 +34,7 @@ from zchurst.orthant import (
     _leading_minors,
     _minors,
     _nodes01,
+    _partials,
     _path_integral,
     _sigma,
 )
@@ -53,18 +52,9 @@ def test_orthant2_closed_form():
     grid = np.linspace(-0.99, 0.99, 67)
     vals = [orthant2(float(r)) for r in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    for bad in (1.0, -1.0, 1.3):
+    for bad in (1.0, -1.0, 1.3, math.nan):
         with pytest.raises(DegenerateCorrelation):
             orthant2(bad)
-
-
-def test_orthant3_closed_form():
-    assert abs(orthant3(0.0, 0.0, 0.0) - 0.125) <= 1e-15
-    # exchangeable with r=1/2: arcsin terms sum to 3*(pi/6), giving 1/4
-    assert abs(orthant3(0.5, 0.5, 0.5) - 0.25) <= 1e-15
-    # symmetric in the three pairwise correlations
-    vals = {orthant3(*p) for p in ((0.3, -0.1, 0.2), (0.2, -0.1, 0.3), (-0.1, 0.3, 0.2))}
-    assert len(vals) == 1
 
 
 def test_orthant4_anchors():
@@ -184,7 +174,7 @@ def test_arcsin_clamp_boundary():
 
 
 def test_plackett_partials_at_origin():
-    d2, d3, d4 = plackett_partials(OrthantSpec4((0.0, 0.0, 0.0, 0.0)))
+    d2, d3, d4 = _partials(0.0, 0.0, 0.0, 0.0)
     # r2 enters Sigma twice, r3 and r4 once each
     assert abs(d2 - 1.0 / (4.0 * math.pi)) <= 1e-14
     assert abs(d3 - 1.0 / (8.0 * math.pi)) <= 1e-14
@@ -222,7 +212,7 @@ def _fd_partial_mc(r, dim, delta, draws, seed):
 def test_plackett_partials_match_finite_differences():
     delta = 0.02
     for r in ((0.3, -0.2, 0.1, 0.4), (-0.4, 0.25, -0.15, 0.2)):
-        parts = plackett_partials(OrthantSpec4(r))
+        parts = _partials(*r)
         for dim in (1, 2, 3):
             fd, se = _fd_partial_mc(r, dim, delta, 2_000_000, seed=300 + dim)
             # 4 SE of simulation noise plus an O(delta^2) curvature allowance

@@ -25,7 +25,6 @@ from zchurst import (
     p_bar,
     p_hat,
     pattern_class,
-    pattern_of_increments,
     pattern_of_values,
     synthesize,
 )
@@ -77,8 +76,7 @@ def test_pattern_validation():
 def test_non_finite_values_are_refused():
     readers = (
         pattern_of_values,
-        pattern_of_increments,
-        lambda x: count_patterns(x, 2),
+            lambda x: count_patterns(x, 2),
         change_indicator_count,
     )
     for bad in (np.nan, np.inf, -np.inf):
@@ -126,14 +124,6 @@ def test_order2_class_structure():
     all_patterns = {Pattern(p) for p in itertools.permutations(range(3))}
     assert monotone.members | change.members == all_patterns
     assert not monotone.members & change.members
-
-
-def test_pattern_of_increments_is_partial_sums():
-    rng = np.random.default_rng(44)
-    for _ in range(50):
-        y = rng.standard_normal(4)
-        levels = np.concatenate([[0.0], np.cumsum(y)])
-        assert pattern_of_increments(y) == pattern_of_values(levels)
 
 
 def _naive_counts(x, d):
@@ -233,18 +223,3 @@ def test_count_patterns_validation():
         count_patterns(np.array([1.0, 2.0]), 2)
     with pytest.raises(BadLength):
         change_indicator_count(np.array([1.0, 2.0]))
-
-
-def test_counts_add_matches_single_pass():
-    # splitting the series with a d-point overlap shards the windows
-    # exactly, so summed histograms must equal the one-pass histogram
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal(500)
-    for d in (1, 2, 3):
-        full = count_patterns(x, d)
-        for cut in (7, 250, 490):
-            merged = count_patterns(x[: cut + d], d) + count_patterns(x[cut:], d)
-            assert merged.n == full.n
-            assert merged.counts == full.counts
-    with pytest.raises(DomainError):
-        count_patterns(x, 1) + count_patterns(x, 2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 from zchurst import (
     CapReached,
@@ -21,16 +22,12 @@ from zchurst import (
     VarianceApproxConfig,
     change_indicator_count,
     change_prob,
-    f_infinity,
-    f_n,
     gamma0,
     gamma1,
-    gamma_asymptotic,
     gamma_exact,
     gamma_taylor,
     k_threshold,
     orthant,
-    orthant3,
     rho,
     synthesize,
     var_c_approx,
@@ -51,6 +48,9 @@ def test_gamma0_is_bernoulli_variance():
 def test_gamma1_matches_trivariate_orthant_route():
     # both windows change exactly when the sign pattern of three
     # consecutive increments alternates, which is two orthant masses
+    def orthant3(r12, r13, r23):  # trivariate orthant probability, arcsine closed form
+        return 0.125 + (math.asin(r12) + math.asin(r13) + math.asin(r23)) / (4.0 * math.pi)
+
     for h in H_SAMPLE:
         direct = 2.0 * orthant3(-rho(h, 1), rho(h, 2), -rho(h, 1)) - change_prob(h) ** 2
         assert abs(gamma1(h) - direct) <= 1e-14
@@ -89,14 +89,6 @@ def test_gamma_magnitude_decays_in_k():
     for h in (0.3, 0.6, 0.85):
         a, b, c = (abs(gamma_exact(h, k)) for k in (100, 1000, 10000))
         assert a > b > c
-
-
-def test_gamma_taylor_order1_is_the_asymptotic_form():
-    for h in (0.1, 0.3, 0.6, 0.85, 0.97):
-        for k in (5, 50, 500):
-            assert gamma_asymptotic(h, k) == gamma_taylor(h, k, 1)
-    assert gamma_asymptotic(0.5, 10) == 0.0
-    assert gamma_asymptotic(1.0, 10) == 0.0
 
 
 def test_gamma_taylor_orders_and_domain():
@@ -335,9 +327,29 @@ def test_var_c_asymptotic_sharp_constant():
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
 
 
-def test_f_n_is_scaled_variance():
-    for h, n in ((0.3, 500), (0.6, 2048)):
-        assert f_n(h, n) == n * var_c_approx(h, n)
+def f_infinity(h):
+    """Oracle: gamma(0) + 2 sum_{k>=1} gamma(k), summable exactly when H < 3/4.
+
+    Exact lags run to a Taylor threshold whose relative error keeps the
+    absolute tail error below 5e-10; the Taylor tail itself sums to infinity
+    in closed form (Hurwitz zeta).
+    """
+    if h >= 0.75:
+        raise DomainError(f"the series diverges for H >= 3/4, got {h}")
+    if h == 0.5:
+        return 0.25
+
+    def threshold_and_tail(eps):
+        start = k_threshold(h, 3, eps, k_max=20_000)
+        base = (h * (2.0 * h - 1.0)) ** 2
+        coeffs = enumerate(variance._taylor_coeffs(h, 3), start=1)
+        return start, sum(a * base**l * float(zeta(4.0 * l * (1.0 - h), start)) for l, a in coeffs)
+
+    start, tail = threshold_and_tail(1e-3)
+    if 1e-3 * abs(tail) > 5e-10:
+        start, tail = threshold_and_tail(max(5e-10 / abs(tail), 1e-12))
+    head = gamma1(h) + float(np.sum(gamma_exact(h, np.arange(2, start))))
+    return gamma0(h) + 2.0 * (head + tail)
 
 
 def test_f_infinity_anchors_and_domain():
@@ -353,7 +365,7 @@ def test_f_infinity_anchors_and_domain():
 def test_f_n_converges_below_three_quarters():
     for h in (0.3, 0.6):
         goal = f_infinity(h)
-        gaps = [abs(goal - f_n(h, n)) for n in (2**8, 2**11, 2**14)]
+        gaps = [abs(goal - n * var_c_approx(h, n)) for n in (2**8, 2**11, 2**14)]
         assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -369,5 +381,5 @@ def test_scaled_variance_grows_above_three_quarters():
     # for H > 3/4 the scaled variance diverges like n^(4H-3); the log-log
     # fit over a thousand-fold range lands near the theoretical slope
     ns = [2**e for e in range(10, 21)]
-    slope = np.polyfit(np.log(ns), np.log([f_n(0.85, n) for n in ns]), 1)[0]
+    slope = np.polyfit(np.log(ns), np.log([n * var_c_approx(0.85, n) for n in ns]), 1)[0]
     assert abs(slope - 0.4) <= 0.1
