@@ -6,10 +6,12 @@ grid is stationary Gaussian with autocovariance
     rho_H(k) = 0.5 * (|k+1|^(2H) - 2|k|^(2H) + |k-1|^(2H)),
 
 H in (0, 1].  Synthesis embeds this covariance in a circulant matrix whose
-eigenvalues come from one FFT; scaling independent standard normals by the
-eigenvalue square roots then yields an exact draw (circulant embedding).
-The embedding is provably nonnegative definite for this covariance family,
-so the PSD guard below only ever absorbs rounding noise.
+eigenvalues come from one real FFT, cached per (H, embedding size).  Each
+path scales independent standard normals by the eigenvalue square roots,
+which gives the Hermitian half of a random spectrum, and one real inverse
+FFT of that half is an exact draw (circulant embedding).  The embedding is
+provably nonnegative definite for this covariance family, so the PSD guard
+below only ever absorbs rounding noise.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _embedding_scales(h: float, m: int):
 
     Returns (a0, am, amid) with the 1/sqrt(2m) FFT normalization and the
     1/sqrt(2) complex-pair split folded in, so per-path work is one normal
-    draw, one scale, one FFT.
+    draw, one scale of the half spectrum and one real inverse FFT.
     """
     cov = rho_sequence(h, m)
     circ = np.concatenate([cov, cov[-2:0:-1]])  # length 2m, circulant row
@@ -120,17 +122,21 @@ def _assemble(z: np.ndarray, a0: float, am: float, amid: np.ndarray, n: int) -> 
     spectral lines, then consecutive pairs feed the complex lines in
     frequency order.  Reproducibility of every path rests on this layout,
     so it must not change.
+
+    Only the Hermitian half (lines 0..m) of the spectrum is built, in
+    place.  The real part of the forward FFT of the full Hermitian
+    spectrum equals the unscaled real inverse FFT of its conjugate half,
+    so one irfft of length 2m gives the path.
     """
     two_m = z.shape[-1]
     m = two_m // 2
-    spec = np.empty(z.shape[:-1] + (two_m,), dtype=complex)
-    spec[..., 0] = a0 * z[..., 0]
-    spec[..., m] = am * z[..., 1]
-    if m > 1:
-        mid = amid * (z[..., 2::2] + 1j * z[..., 3::2])
-        spec[..., 1:m] = mid
-        spec[..., m + 1 :] = np.conj(mid[..., ::-1])
-    return np.fft.fft(spec).real[..., :n]
+    half = np.empty(z.shape[:-1] + (m + 1,), dtype=complex)
+    half[..., 0] = a0 * z[..., 0]
+    half[..., m] = am * z[..., 1]
+    mid = half[..., 1:m]
+    np.multiply(amid, z[..., 2:].view(complex), out=mid)
+    np.conjugate(mid, out=mid)
+    return np.fft.irfft(half, n=two_m, norm="forward")[..., :n]
 
 
 def _increments(hh: float, n: int, rng: np.random.Generator, lead=()) -> np.ndarray:
@@ -154,7 +160,9 @@ def synthesize(h, n: int, seed: int) -> SamplePath:
     """Draw one exact fGn/fBm path of n increments, deterministic in seed."""
     hh = as_hurst(h)
     increments = _increments(hh, n, np.random.Generator(np.random.Philox(key=seed)))
-    levels = np.concatenate(([0.0], np.cumsum(increments)))
+    levels = np.empty(n + 1)
+    levels[0] = 0.0
+    np.cumsum(increments, out=levels[1:])
     increments.setflags(write=False)
     levels.setflags(write=False)
     return SamplePath(h_used=hh, seed=int(seed), increments=increments, levels=levels)

@@ -1,9 +1,11 @@
 """Synthesis and covariance-model tests.
 
-The frozen draw layouts at the bottom pin the exact RNG consumption order
-of the synthesizer: campaign reproducibility depends on paths being
-bit-identical across releases, so any refactor that changes how normals
-are drawn must show up here.
+The frozen draws at the bottom pin both the exact RNG consumption order of
+the synthesizer and its FFT route: campaign reproducibility depends on
+paths being bit-identical across releases (for a fixed numpy build), so any
+refactor that changes how normals are drawn, or how the spectrum is
+transformed, must show up here.  The full-spectrum oracle below separates
+the two: a new FFT route moves paths by rounding only, a new layout by O(1).
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from zchurst import (
     rho_sequence,
     synthesize,
 )
-from zchurst.fbm import increments_block
+from zchurst.fbm import _assemble, _embedding_scales, _embedding_size, increments_block
 
 H_GRID = [round(0.05 * i, 2) for i in range(1, 21)]
 
@@ -133,19 +135,19 @@ def test_increments_block_shape_and_determinism():
 FROZEN_DRAWS = {
     (0.7, 8, 42): (
         0.24228376454865869,
-        -0.033801704446373648,
-        0.45816684817696363,
-        -1.4813433185405405,
+        -0.033801704446373426,
+        0.45816684817696374,
+        -1.48134331854054,
         -0.9849929940284905,
-        -0.71181478327220793,
+        -0.71181478327220804,
         -0.23274404802965393,
         -1.005622327966923,
     ),
     (0.3, 5, 7): (
         0.64237115038563353,
-        -0.63848002698468753,
+        -0.63848002698468764,
         -0.97465006030172174,
-        -0.22778045645113404,
+        -0.22778045645113409,
         0.83157983157703663,
     ),
     (1.0, 4, 9): (
@@ -161,3 +163,42 @@ def test_draw_layout_frozen():
     for (h, n, seed), expected in FROZEN_DRAWS.items():
         got = synthesize(h, n, seed).increments
         np.testing.assert_array_equal(got, np.array(expected))
+
+
+def _full_spectrum_assemble(z, a0, am, amid, n):
+    """Reference kernel: the whole Hermitian spectrum and a complex FFT."""
+    two_m = z.shape[-1]
+    m = two_m // 2
+    spec = np.empty(z.shape[:-1] + (two_m,), dtype=complex)
+    spec[..., 0] = a0 * z[..., 0]
+    spec[..., m] = am * z[..., 1]
+    if m > 1:
+        mid = amid * (z[..., 2::2] + 1j * z[..., 3::2])
+        spec[..., 1:m] = mid
+        spec[..., m + 1 :] = np.conj(mid[..., ::-1])
+    return np.fft.fft(spec).real[..., :n]
+
+
+def test_half_spectrum_matches_full_spectrum_oracle():
+    # same normals on the same spectral lines: only FFT rounding may differ
+    for h in (0.05, 0.3, 0.5, 0.75, 0.95):
+        for n in (2, 3, 5, 8, 64, 1000, 8192):
+            m = _embedding_size(n)
+            for seed in (0, 1, 2):
+                z = np.random.Generator(np.random.Philox(key=seed)).standard_normal(2 * m)
+                ref = _full_spectrum_assemble(z, *_embedding_scales(h, m), n)
+                got = synthesize(h, n, seed).increments
+                assert np.abs(got - ref).max() <= 1e-14
+
+
+def test_block_rows_and_levels_are_bit_identical():
+    # the batch route and the per-path route share one kernel, bit for bit
+    for h, n in ((0.3, 2), (0.7, 5), (0.75, 1000), (0.95, 8192)):
+        m = _embedding_size(n)
+        scales = _embedding_scales(h, m)
+        z = np.random.Generator(np.random.Philox(key=3)).standard_normal((4, 2 * m))
+        block = _assemble(z, *scales, n)
+        for row, zrow in zip(block, z):
+            np.testing.assert_array_equal(row, _assemble(zrow, *scales, n))
+    path = synthesize(0.7, 1000, seed=4)
+    np.testing.assert_array_equal(path.levels, np.concatenate(([0.0], np.cumsum(path.increments))))

@@ -264,8 +264,9 @@ def test_csv_formatting():
 
 
 def test_replication_throughput_smoke():
-    # one synthesized path plus both estimators is FFT-dominated; the
-    # generous bound only catches order-of-magnitude regressions
+    # one synthesized path (one real inverse FFT of a half spectrum) plus
+    # both estimators; the generous bound only catches order-of-magnitude
+    # regressions
     import time
 
     from zchurst import heaf_estimate, synthesize, zc_estimate
