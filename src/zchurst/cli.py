@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 import typing
+
+import numpy as np
 
 from .errors import InputError, NumericalError
 from .estimators import heaf_estimate, zc_estimate
@@ -111,20 +114,29 @@ def resolve_settings(args) -> Settings:
     return settings
 
 
-def _read_series(path: str):
-    values = []
+def _read_series(path: str) -> np.ndarray:
+    r"""One float per line, blank lines skipped, as a float64 array.
+
+    Lines end at "\n" only (text mode folds "\r\n" and "\r" into it), so a
+    form feed or other Unicode line break inside a line is not a separator.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: not a number: {line!r}") from None
+        lines = fh.read().split("\n")
+    try:
+        values = [float(line) for line in map(str.strip, lines) if line]
+    except ValueError:
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            if line:
+                try:
+                    float(line)
+                except ValueError:
+                    raise InputError(
+                        f"{path}:{lineno}: not a number: {line!r}"
+                    ) from None
+        raise
     if not values:
         raise InputError(f"{path}: no data")
-    return values
+    return np.array(values)
 
 
 def _report_lines(report):
@@ -237,7 +249,13 @@ def _add_settings_flags(parser):
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The zchurst parser, built once per process.
+
+    parse_args leaves the parser as it was and returns a fresh Namespace,
+    so every call of main shares this one.
+    """
     parser = argparse.ArgumentParser(
         prog="zchurst",
         description="Hurst estimation from ordinal change frequencies, plus batch table generators.",
@@ -294,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except (InputError, OSError, ValueError) as exc:

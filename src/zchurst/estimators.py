@@ -140,27 +140,46 @@ def heaf_transform(rho_hat: float) -> float:
     return 0.5 * (1.0 + math.log2(1.0 + max(-0.5, rho_hat)))
 
 
+# Below this sum of squares the centred increments may have lost bits to
+# underflow; heaf_estimate then recomputes at unit scale.
+_HEAF_DENOM_FLOOR = float(np.finfo(float).tiny / np.finfo(float).eps)
+
+
+def _lag1_sums(levels: np.ndarray) -> tuple:
+    """(lag-1 cross sum, sum of squares) of the centred first differences."""
+    y = np.diff(levels)
+    # bit for bit y.mean(), without its Python-level dispatch
+    centered = y - y.sum() / y.size
+    return float(centered[:-1] @ centered[1:]), float(centered @ centered)
+
+
 def heaf_estimate(x) -> EstimateReport:
     """HEAF estimate from the lag-1 autocorrelation of first differences.
 
     All-equal increments make rho_hat 0/0; that input is reported as the
     degenerate h_hat = 1 path (statistic pinned to the rho = 1 limit)
     rather than raised, so campaigns keep running.  NaN or infinite values
-    raise InputError.
+    raise InputError.  rho_hat is scale-free: levels whose sum of squares
+    over- or underflows are recomputed scaled by a power of two, which is
+    exact, so x * 2**k gives the report of x bit for bit wherever that
+    product is exact and the sums at x lose no bits.
     """
     arr = _finite_series(x)
     if arr.ndim != 1 or arr.size < 3:
         raise BadLength(f"need at least 3 values, got {arr.size}")
-    y = np.diff(arr)
-    centered = y - y.mean()
-    denom = float(centered @ centered)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross, denom = _lag1_sums(arr)
+    if not _HEAF_DENOM_FLOOR <= denom < math.inf:
+        peak = float(np.abs(arr).max())
+        cross, denom = _lag1_sums(np.ldexp(arr, -math.frexp(peak)[1]))
+    n = arr.size - 1
     if denom == 0.0:
         return EstimateReport(
-            method="HEAF", h_hat=1.0, statistic=1.0, n=y.size, degenerate=True
+            method="HEAF", h_hat=1.0, statistic=1.0, n=n, degenerate=True
         )
-    rho_hat = float(centered[:-1] @ centered[1:]) / denom
+    rho_hat = cross / denom
     return EstimateReport(
-        method="HEAF", h_hat=heaf_transform(rho_hat), statistic=rho_hat, n=y.size
+        method="HEAF", h_hat=heaf_transform(rho_hat), statistic=rho_hat, n=n
     )
 
 

@@ -4,9 +4,11 @@ and determinism of the file artifacts."""
 import csv
 import dataclasses
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 import types
 
 import pytest
@@ -62,6 +64,72 @@ def test_estimate_heaf_degenerate_json(tmp_path, capsys):
     assert parsed["degenerate"] is True
     assert parsed["h_hat"] == 1.0
     assert parsed["ci_low"] is None
+
+
+def test_series_reader_skips_blank_lines_and_reads_crlf(tmp_path, capsys):
+    values = synthesize(0.6, 40, seed=5).levels
+    expected = dataclasses.asdict(zc_estimate(values))
+    text = "\n".join(repr(float(v)) for v in values) + "\n"
+    padded = tmp_path / "padded.txt"
+    padded.write_text("\n \t\n" + text.replace("\n", "\n\n  ", 5) + "\n\n")
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    for f in (padded, crlf):
+        assert main(["estimate", str(f), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("method", ["zc", "heaf"])
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        # only "\n" ends a line: a form feed inside one is not a separator
+        ("1.0\x0c2.0\n3.0\n0.5\n", "{f}:1: not a number: '1.0\\x0c2.0'"),
+        # line numbers count the blank lines
+        ("\n\nabc\n1.0\n2.0\n", "{f}:3: not a number: 'abc'"),
+        ("1.0\r\n\r\n 2.0 x \r\n", "{f}:3: not a number: '2.0 x'"),
+        (" \n\t\n  \n", "{f}: no data"),
+        ("1.0\n2.0\nnan\n0.5\n1.5\n", "series value at index 2 is nan, not finite"),
+    ],
+)
+def test_series_reader_refusals(tmp_path, capsys, method, text, err):
+    f = tmp_path / "series.txt"
+    f.write_bytes(text.encode())
+    assert main(["estimate", str(f), "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + err.format(f=f) + "\n"
+
+
+def test_parser_is_built_once_and_keeps_no_settings(series_file, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    f, values = series_file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("taylor_eps=0.5\n")
+    argv = ["estimate", str(f), "--json"]
+    assert main(argv + ["--quad-nodes", "8", "--config", str(cfg)]) == 0
+    tuned = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert plain == dataclasses.asdict(zc_estimate(values))
+    # the tuned call did read its settings, so a leak would have shown
+    assert tuned != plain
+
+
+def test_cold_process_matches_in_process(series_file, capsys):
+    f, _ = series_file
+    argv = ["estimate", str(f), "--json"]
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(zchurst.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zchurst.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == warm
 
 
 def test_exit_code_2_on_bad_input(tmp_path, capsys):

@@ -162,6 +162,46 @@ def test_heaf_report():
         heaf_estimate(np.array([1.0, 2.0]))
 
 
+def _bits(report):
+    return report.h_hat.hex(), report.statistic.hex(), report.n, report.degenerate
+
+
+# Levels of 0 or of magnitude 2**-10 to 2**10: times any 2**k with |k| <= 1000
+# they stay normal and finite, so the scaling itself is exact.
+_LEVELS = st.lists(
+    st.floats(-1024.0, 1024.0).map(lambda v: v if abs(v) >= 2.0**-10 else 0.0),
+    min_size=3,
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_LEVELS, k=st.integers(-1000, 1000))
+@example(x=[0.0, 1.0, -0.5, 2.0, 1.5], k=-1000)
+@example(x=[0.0, 1.0, -0.5, 2.0, 1.5], k=1000)
+@example(x=[1024.0, -1024.0, 1024.0, -1024.0], k=1000)
+@example(x=[3.0, 3.0, 3.0, 3.0], k=-700)
+def test_heaf_scale_invariance(x, k):
+    x = np.array(x)
+    report = heaf_estimate(x)
+    # H is scale-free: no scale may flip the degenerate flag or move a bit
+    assert _bits(heaf_estimate(x * 2.0**k)) == _bits(report)
+    y = np.diff(x)
+    assert not report.degenerate or np.all(y == y[0])
+
+
+def test_heaf_extreme_scales():
+    x = synthesize(0.7, 1000, seed=3).levels
+    expected = heaf_estimate(x)
+    assert not expected.degenerate
+    # sums of squares that under- or overflow at these scales
+    for scale in (2.0**-565, 2.0**512, 2.0**1000):
+        assert _bits(heaf_estimate(x * scale)) == _bits(expected)
+    # levels near the largest float, where the increments themselves overflow
+    top = heaf_estimate(x / np.abs(x).max() * 1.7e308)
+    assert abs(top.h_hat - expected.h_hat) <= 1e-12
+
+
 def test_estimators_refuse_non_finite_input():
     x = np.array(synthesize(0.7, 512, seed=2).levels)
     for bad in (math.nan, math.inf, -math.inf):
