@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import typing
@@ -119,24 +120,31 @@ def _read_series(path: str) -> np.ndarray:
 
     Lines end at "\n" only (text mode folds "\r\n" and "\r" into it), so a
     form feed or other Unicode line break inside a line is not a separator.
+    A line that does not parse, or parses to NaN or +-inf, is refused by its
+    1-based line number, blank lines counted.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     try:
-        values = [float(line) for line in map(str.strip, lines) if line]
+        values = np.array([float(line) for line in map(str.strip, lines) if line])
     except ValueError:
-        for lineno, line in enumerate(map(str.strip, lines), start=1):
-            if line:
-                try:
-                    float(line)
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{lineno}: not a number: {line!r}"
-                    ) from None
+        for lineno, line in _numbered(lines):
+            try:
+                float(line)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: not a number: {line!r}") from None
         raise
-    if not values:
+    if not values.size:
         raise InputError(f"{path}: no data")
-    return np.array(values)
+    if not np.isfinite(values).all():
+        lineno, line = next((i, v) for i, v in _numbered(lines) if not math.isfinite(float(v)))
+        raise InputError(f"{path}:{lineno}: not finite: {line!r}")
+    return values
+
+
+def _numbered(lines):
+    """(1-based line number, stripped line) of each non-blank line."""
+    return ((i, line) for i, line in enumerate(map(str.strip, lines), start=1) if line)
 
 
 def _report_lines(report):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,9 +125,11 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @functools.lru_cache(maxsize=32)
-def _nodes01(count: int):
-    x, w = leggauss(count)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _nodes01(*counts: int):
+    """Gauss-Legendre nodes on [0, 1] of each node count, joined, and the
+    weights of each rule."""
+    rules = [leggauss(count) for count in counts]
+    return np.concatenate([0.5 * (x + 1.0) for x, _ in rules]), tuple(0.5 * w for _, w in rules)
 
 
 def orthant2(rho12: float) -> float:
@@ -156,28 +159,34 @@ def _partials(r1, r2, r3, r4):
     """
     det11, det22, det13, det23, det14 = _minors(r1, r2, r3, r4)
     pi = math.pi
-    a2 = _clamped_arcsin(det13 / np.sqrt(det11 * det22))
-    a3 = _clamped_arcsin(det23 / det22)
-    a4 = _clamped_arcsin(det14 / det11)
+    # one clamp check for the three arcsine arguments
+    args = np.stack([det13 / np.sqrt(det11 * det22), det23 / det22, det14 / det11])
+    a2, a3, a4 = _clamped_arcsin(args)
     d2 = (0.25 - a2 / (2.0 * pi)) / (pi * np.sqrt(1.0 - r2 * r2))
     d3 = (0.25 + a3 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - r3 * r3))
     d4 = (0.25 + a4 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - r4 * r4))
     return d2, d3, d4
 
 
-def _path_integral(r, nodes: int) -> np.ndarray:
-    """Path integral of each row of r ((R, 4), or one 4-tuple) at nodes; one
-    1-d dot per row, as a 2-d gemv sums in another order (last bits move)."""
+def _path_integral(r, *counts) -> list:
+    """Path integral of each row of r ((R, 4), or one 4-tuple), one (R,) array
+    per Gauss-Legendre node count, from one integrand pass over the joined
+    nodes: each node's integrand is elementwise, so joining moves no bit."""
     r1, r2, r3, r4 = np.atleast_2d(r).T[:, :, None]
-    t, w = _nodes01(nodes)
+    t, weights = _nodes01(*counts)
     d2, d3, d4 = _partials(r1, t * r2, t * r3, t * r4)
-    return np.array([w @ row for row in r2 * d2 + r3 * d3 + r4 * d4])
+    f = r2 * d2 + r3 * d3 + r4 * d4
+    # vecdot takes the same 1-d dot per row as w @ row; a 2-d gemv would
+    # sum in another order (last bits move).
+    ends = itertools.accumulate(counts)
+    return [np.vecdot(f[:, end - w.size : end], w) for w, end in zip(weights, ends)]
 
 
 # Hard ceiling on node-doubling refinement, as a multiple of q.nodes.
 _MAX_REFINE = 32
 
-# Rows per _refined pass, so memory is flat in R: a (rows, 96 nodes) array is 200 kB.
+# Rows per _refined pass, so memory is flat in R: a (rows, 144 nodes) array
+# of the joined first pass is 295 kB.
 _CHUNK = 256
 
 
@@ -196,7 +205,8 @@ def orthant4_excess(s, q: QuadratureConfig = DEFAULT_QUADRATURE):
 
     Each row starts at q.nodes and doubles until one doubling moves it by
     at most q.abs_tol (the usual case is the first check: well-conditioned
-    Sigma converges at 48->96); near-singular Sigma gets more nodes, and
+    Sigma converges at 48->96, both rules taken in one integrand pass);
+    near-singular Sigma gets more nodes, one new rule per doubling, and
     QuadratureNotConverged means even q.nodes*_MAX_REFINE disagreed.
     """
     if isinstance(s, OrthantSpec4) or np.ndim(s) == 1:
@@ -219,9 +229,10 @@ def _refined(rows: np.ndarray, q: QuadratureConfig) -> np.ndarray:
     out = np.empty(len(rows))
     live = np.arange(len(rows))
     nodes = q.nodes
-    coarse = _path_integral(rows, nodes)
+    coarse, fine = _path_integral(rows, nodes, 2 * nodes)
     while live.size and nodes <= q.nodes * _MAX_REFINE // 2:
-        fine = _path_integral(rows[live], 2 * nodes)
+        if nodes > q.nodes:
+            (fine,) = _path_integral(rows[live], 2 * nodes)
         moved = np.abs(fine - coarse)
         done = moved <= q.abs_tol
         out[live[done]] = fine[done]

@@ -25,8 +25,13 @@ from .orthant import DEFAULT_QUADRATURE, QuadratureConfig, orthant4_excess
 _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
 
-# Lags per gamma_exact call in k_threshold; larger blocks only cost memory.
+# Lags in k_threshold's first gamma_exact call; each later block doubles, up
+# to _MAX_BLOCK, so short searches stay short and long ones make few calls.
+# Blocks of orthant._CHUNK (256) lags would make fewer calls still, but their
+# (rows, 144 nodes) temporaries raise the peak memory of table1 and figure1
+# by about 1.5 MB for no measurable time.
 _BLOCK = 16
+_MAX_BLOCK = 64
 
 
 def _check_order(m: int) -> None:
@@ -108,11 +113,12 @@ def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
     cache = _gamma_memo(hh, q)
     misses = [v for v in dict.fromkeys(lags) if v not in cache]
     if misses:
-        # Scalar rho: numpy's pow may differ in the last ulp (see fbm.rho).
-        tails = np.array([(rho(hh, v), rho(hh, v + 1), rho(hh, v - 1)) for v in misses])
-        rows = [np.insert(s * tails, 0, rho(hh, 1), axis=1) for s in (1.0, -1.0)]
+        # Scalar rho, once per distinct lag: numpy's pow may differ in the
+        # last ulp (see fbm.rho).
+        r = {j: rho(hh, j) for j in {1, *(v + d for v in misses for d in (-1, 0, 1))}}
+        rows = np.array([(r[1], r[v], r[v + 1], r[v - 1]) for v in misses])
         try:
-            plus, minus = (orthant4_excess(r, q) for r in rows)
+            plus, minus = (orthant4_excess(x, q) for x in (rows, rows * (1.0, -1.0, -1.0, -1.0)))
         except NumericalError:  # lag by lag, the lowest failing lag raises
             if len(misses) == 1:
                 raise
@@ -164,8 +170,9 @@ def k_threshold(
 ) -> int:
     """Least k >= 2 with |gamma_taylor - gamma_exact| / gamma_exact < eps.
 
-    Upward search against memoized gamma_exact in blocks of _BLOCK lags;
-    raises CapReached past k_max (the H -> 1 corner needs five-digit k's).
+    Upward search against memoized gamma_exact in blocks of _BLOCK lags,
+    then twice as many each time up to _MAX_BLOCK; raises CapReached past
+    k_max (the H -> 1 corner needs five-digit k's).
     """
     hh = as_hurst(h)
     if hh in (0.5, 1.0):
@@ -175,8 +182,10 @@ def k_threshold(
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     coeffs = _taylor_coeffs(hh, m)  # also validates the order before searching
-    for start in range(2, k_max + 1, _BLOCK):
-        ks = np.arange(start, min(start + _BLOCK, k_max + 1))
+    start, size = 2, _BLOCK
+    while start <= k_max:
+        ks = np.arange(start, min(start + size, k_max + 1))
+        start, size = start + size, min(2 * size, _MAX_BLOCK)
         try:
             block = gamma_exact(hh, ks, q).tolist()
         except NumericalError:

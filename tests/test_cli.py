@@ -89,7 +89,12 @@ def test_series_reader_skips_blank_lines_and_reads_crlf(tmp_path, capsys):
         ("\n\nabc\n1.0\n2.0\n", "{f}:3: not a number: 'abc'"),
         ("1.0\r\n\r\n 2.0 x \r\n", "{f}:3: not a number: '2.0 x'"),
         (" \n\t\n  \n", "{f}: no data"),
-        ("1.0\n2.0\nnan\n0.5\n1.5\n", "series value at index 2 is nan, not finite"),
+        # non-finite values too, by line; "1e999" parses to inf
+        ("1.0\n2.0\nnan\n0.5\n1.5\n", "{f}:3: not finite: 'nan'"),
+        ("\n\n1.0\n2.0\nnan\n", "{f}:5: not finite: 'nan'"),
+        ("1.0\n\n inf\n-inf\n", "{f}:3: not finite: 'inf'"),
+        ("1.0\n2.0\n\n-inf\n", "{f}:4: not finite: '-inf'"),
+        ("1.0\n1e999\n", "{f}:2: not finite: '1e999'"),
     ],
 )
 def test_series_reader_refusals(tmp_path, capsys, method, text, err):

@@ -29,6 +29,8 @@ from zchurst import (
     rho,
 )
 from zchurst.orthant import (
+    _CHUNK,
+    _MAX_REFINE,
     PD_TOL,
     _clamped_arcsin,
     _leading_minors,
@@ -230,7 +232,32 @@ def test_quadrature_node_doubling_converged():
         if np.linalg.eigvalsh(sigma)[0] < 0.05:
             continue
         found += 1
-        assert abs(_path_integral(r, 32) - _path_integral(r, 64)) < 1e-10
+        coarse, fine = _path_integral(r, 32, 64)
+        assert abs(coarse - fine)[0] < 1e-10
+
+
+# Node counts along the doubling chain from the default 48 and from 4.
+_CHAIN = st.sampled_from([48 << i for i in range(6)] + [4 << i for i in range(6)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, _CHUNK), nodes=_CHAIN, seed=st.integers(0, 2**32 - 1))
+def test_vecdot_is_the_per_row_dot(rows, nodes, seed):
+    # both halves of a joined (R, nodes + 2 nodes) array, as _path_integral splits it
+    f = np.random.default_rng(seed).standard_normal((rows, 3 * nodes))
+    for part, count in ((f[:, :nodes], nodes), (f[:, nodes:], 2 * nodes)):
+        w = _nodes01(count)[1][0]
+        assert np.vecdot(part, w).tobytes() == np.array([w @ row for row in part]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_ROWS, nodes=st.sampled_from([4, 7, 48, 96, 48 * _MAX_REFINE // 2]))
+def test_joined_pass_is_two_single_rule_passes(rows, nodes):
+    rows = np.array([r for r in rows if np.linalg.eigvalsh(_sigma(*r))[0] > 1e-9])
+    assume(len(rows) > 0)
+    coarse, fine = _path_integral(rows, nodes, 2 * nodes)
+    assert coarse.tobytes() == _path_integral(rows, nodes)[0].tobytes()
+    assert fine.tobytes() == _path_integral(rows, 2 * nodes)[0].tobytes()
 
 
 def _lag2_row(h):

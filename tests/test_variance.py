@@ -165,15 +165,32 @@ def _linear_threshold(h, m, eps, k_max):
 
 
 def test_blocked_k_threshold_equals_linear_scan():
-    # 9 lies inside the first block of 16 lags (2..17); 18 and 226 are the
-    # first lags of the blocks 18..33 and 226..241; 225 and 100 are caps
-    # that end a block early
+    # the blocks are 2..17, 18..49, 50..113, then 64 lags each (114..177,
+    # 178..241, 242..305, ...): each threshold below is a block's first or
+    # last lag, or lies inside one (9, 226); the caps end a block early, or
+    # sit on a block edge or one lag past it
     cases = (
         (0.55, 0.01, 1000, 9),
+        (0.919, 0.01, 1000, 17),
         (0.05, 0.01, 1000, 18),
+        (0.9354, 0.01, 1000, 49),
+        (0.9356, 0.01, 1000, 50),
+        (0.94426, 0.01, 1000, 113),
+        (0.9444, 0.01, 1000, 114),
         (0.95, 0.01, 1000, 226),
+        (0.95045, 0.01, 1000, 241),
+        (0.95048, 0.01, 1000, 242),
         (0.95, 0.01, 225, None),
         (0.95, 0.01, 100, None),
+        (0.95, 0.01, 49, None),
+        (0.95, 0.01, 50, None),
+        (0.95, 0.01, 113, None),
+        (0.95, 0.01, 114, None),
+        (0.9354, 0.01, 49, 49),
+        (0.9356, 0.01, 50, 50),
+        (0.94426, 0.01, 113, 113),
+        (0.9444, 0.01, 113, None),
+        (0.9444, 0.01, 114, 114),
     )
     for h, eps, k_max, expected in cases:
         variance._gamma_memo.cache_clear()
@@ -184,6 +201,22 @@ def test_blocked_k_threshold_equals_linear_scan():
                 k_threshold(h, 3, eps, k_max=k_max)
         else:
             assert k_threshold(h, 3, eps, k_max=k_max) == expected
+
+
+def test_k_threshold_blocks_double_up_to_the_cap(monkeypatch):
+    real = variance.gamma_exact
+    blocks = []
+
+    def gamma(h, k, q):
+        blocks.append((int(k[0]), int(k[-1])))
+        return real(h, k, q)
+
+    monkeypatch.setattr(variance, "gamma_exact", gamma)
+    with pytest.raises(CapReached):
+        k_threshold(0.95, 3, 1e-3, k_max=1000)
+    assert blocks[:5] == [(2, 17), (18, 49), (50, 113), (114, 177), (178, 241)]
+    assert blocks[-1] == (946, 1000)
+    assert all(b - a == variance._MAX_BLOCK - 1 for a, b in blocks[3:-1])
 
 
 def test_blocks_raise_only_for_the_lowest_lag_used(monkeypatch):
@@ -219,9 +252,9 @@ def test_orthant_batches_are_chunked(monkeypatch):
     real = orthant._path_integral
     batches = []
 
-    def path_integral(rows, nodes):
+    def path_integral(rows, *counts):
         batches.append(len(rows))
-        return real(rows, nodes)
+        return real(rows, *counts)
 
     ks = np.arange(2, 2002)
     monkeypatch.setattr(orthant, "_path_integral", path_integral)
