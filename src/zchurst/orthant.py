@@ -111,7 +111,7 @@ class OrthantSpec4:
 class QuadratureConfig:
     """Gauss-Legendre settings for the path integral on [0, 1]."""
 
-    nodes: int = 48
+    nodes: int = 32
     abs_tol: float = 1e-9
 
     def __post_init__(self):
@@ -185,8 +185,8 @@ def _path_integral(r, *counts) -> list:
 # Hard ceiling on node-doubling refinement, as a multiple of q.nodes.
 _MAX_REFINE = 32
 
-# Rows per _refined pass, so memory is flat in R: a (rows, 144 nodes) array
-# of the joined first pass is 295 kB.
+# Rows per _refined pass, so memory is flat in R: a (rows, 96 nodes) array
+# of the joined first pass is 196 kB.
 _CHUNK = 256
 
 
@@ -205,7 +205,7 @@ def orthant4_excess(s, q: QuadratureConfig = DEFAULT_QUADRATURE):
 
     Each row starts at q.nodes and doubles until one doubling moves it by
     at most q.abs_tol (the usual case is the first check: well-conditioned
-    Sigma converges at 48->96, both rules taken in one integrand pass);
+    Sigma converges at 32->64, both rules taken in one integrand pass);
     near-singular Sigma gets more nodes, one new rule per doubling, and
     QuadratureNotConverged means even q.nodes*_MAX_REFINE disagreed.
     """

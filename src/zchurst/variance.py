@@ -27,9 +27,10 @@ _PI_SQ = math.pi * math.pi
 
 # Lags in k_threshold's first gamma_exact call; each later block doubles, up
 # to _MAX_BLOCK, so short searches stay short and long ones make few calls.
-# Blocks of orthant._CHUNK (256) lags would make fewer calls still, but their
-# (rows, 144 nodes) temporaries raise the peak memory of table1 and figure1
-# by about 1.5 MB for no measurable time.
+# Blocks of orthant._CHUNK (256) lags would make fewer calls still, but the
+# (rows, 3 * nodes) temporaries of the joined first pass raised the peak
+# memory of table1 and figure1 by about 1.5 MB at 48 nodes (144 per pass)
+# for no measurable time.
 _BLOCK = 16
 _MAX_BLOCK = 64
 

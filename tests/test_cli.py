@@ -222,12 +222,13 @@ def test_settings_precedence(tmp_path):
             "--config",
             str(cfg),
             "--quad-nodes",
-            "32",
+            "40",
         ]
     )
     settings = resolve_settings(args)
-    # flag beats config beats default
-    assert settings.quad_nodes == 32
+    # flag beats config beats default; 40 is neither the config's value nor
+    # the default, so the assertion fails if either layer wins
+    assert settings.quad_nodes == 40
     assert settings.taylor_eps == 0.5
     assert settings.n_tilde_cap == 250
 

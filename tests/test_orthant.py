@@ -1,7 +1,8 @@
 """Gaussian orthant probability tests.
 
 The quadrature evaluator is cross-checked against closed forms where they
-exist, against Monte Carlo where they do not, and its reduction-formula
+exist, against a 30-digit mpmath evaluation of the same path integral and
+against Monte Carlo where they do not, and its reduction-formula
 derivatives are verified by central differences of an independent
 common-random-numbers simulation written out longhand in this file.
 """
@@ -9,6 +10,7 @@ common-random-numbers simulation written out longhand in this file.
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +33,7 @@ from zchurst import (
 from zchurst.orthant import (
     _CHUNK,
     _MAX_REFINE,
+    DEFAULT_QUADRATURE,
     PD_TOL,
     _clamped_arcsin,
     _leading_minors,
@@ -232,12 +235,14 @@ def test_quadrature_node_doubling_converged():
         if np.linalg.eigvalsh(sigma)[0] < 0.05:
             continue
         found += 1
-        coarse, fine = _path_integral(r, 32, 64)
+        coarse, fine = _path_integral(r, DEFAULT_QUADRATURE.nodes, 2 * DEFAULT_QUADRATURE.nodes)
         assert abs(coarse - fine)[0] < 1e-10
 
 
-# Node counts along the doubling chain from the default 48 and from 4.
-_CHAIN = st.sampled_from([48 << i for i in range(6)] + [4 << i for i in range(6)])
+# Node counts along the doubling chain from the default and from 4.
+_CHAIN = st.sampled_from(
+    [DEFAULT_QUADRATURE.nodes << i for i in range(6)] + [4 << i for i in range(6)]
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,13 +256,80 @@ def test_vecdot_is_the_per_row_dot(rows, nodes, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=_ROWS, nodes=st.sampled_from([4, 7, 48, 96, 48 * _MAX_REFINE // 2]))
+@given(
+    rows=_ROWS,
+    nodes=st.sampled_from(
+        [4, 7] + [DEFAULT_QUADRATURE.nodes * m for m in (1, 2, _MAX_REFINE // 2)]
+    ),
+)
 def test_joined_pass_is_two_single_rule_passes(rows, nodes):
     rows = np.array([r for r in rows if np.linalg.eigvalsh(_sigma(*r))[0] > 1e-9])
     assume(len(rows) > 0)
     coarse, fine = _path_integral(rows, nodes, 2 * nodes)
     assert coarse.tobytes() == _path_integral(rows, nodes)[0].tobytes()
     assert fine.tobytes() == _path_integral(rows, 2 * nodes)[0].tobytes()
+
+
+def _plackett_integrand_mp(row):
+    """The path integrand of orthant4_excess in mpmath arithmetic, its 3x3
+    minors written out by Sarrus' rule from Sigma(t) rather than taken from
+    the kernel's shared cofactors."""
+    r1, r2, r3, r4 = (mpmath.mpf(v) for v in row)
+    pi = mpmath.pi
+    wanted = ((0, 0), (1, 1), (0, 2), (1, 2), (0, 3))  # M11, M22, M13, M23, M14
+
+    def minor(m, i, j):
+        (a, b, c), (d, e, f), (g, h, k) = (
+            [v for col, v in enumerate(line) if col != j] for at, line in enumerate(m) if at != i
+        )
+        return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+    def integrand(t):
+        p2, p3, p4 = t * r2, t * r3, t * r4
+        m = [[1, r1, p2, p3], [r1, 1, p4, p2], [p2, p4, 1, r1], [p3, p2, r1, 1]]
+        m11, m22, m13, m23, m14 = (minor(m, i, j) for i, j in wanted)
+        a2 = mpmath.asin(m13 / mpmath.sqrt(m11 * m22))
+        a3, a4 = mpmath.asin(m23 / m22), mpmath.asin(m14 / m11)
+        d2 = (0.25 - a2 / (2 * pi)) / (pi * mpmath.sqrt(1 - p2**2))
+        d3 = (0.25 + a3 / (2 * pi)) / (2 * pi * mpmath.sqrt(1 - p3**2))
+        d4 = (0.25 + a4 / (2 * pi)) / (2 * pi * mpmath.sqrt(1 - p4**2))
+        return r2 * d2 + r3 * d3 + r4 * d4
+
+    return integrand
+
+
+# (H, k) points of the mpmath oracle, H 0.1 to 0.9999: short and long lags
+# of both memory regimes, and the near-singular lag-2 and lag-3 rows near 1.
+_ORACLE_POINTS = (
+    (0.1, 2),
+    (0.2, 5),
+    (0.3, 50),
+    (0.45, 17),
+    (0.6, 8),
+    (0.75, 30),
+    (0.9, 2),
+    (0.99, 2),
+    (0.998, 2),
+    (0.9999, 3),
+)
+
+
+def test_default_quadrature_against_mpmath_oracle():
+    # Both orthant rows of each lag, as gamma_exact builds them in double
+    # precision, integrated again at 30 digits on [0, 1] split towards the
+    # near-singular end t = 1: only the quadrature and its rounding are
+    # measured. The default's worst error on this grid is about 9e-14 (the
+    # H 0.9999 row); 48 nodes gave 1.7e-13.
+    with mpmath.workdps(30):
+        for h, k in _ORACLE_POINTS:
+            plus = (rho(h, 1), rho(h, k), rho(h, k + 1), rho(h, k - 1))
+            rows = np.array([plus]) * [[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]]
+            for row, got in zip(rows.tolist(), orthant4_excess(rows).tolist()):
+                exact, err = mpmath.quad(
+                    _plackett_integrand_mp(row), [0, 0.5, 0.75, 0.875, 1], error=True
+                )
+                assert err <= 1e-25 * abs(exact), (h, k, row)
+                assert abs(got - exact) <= 2e-13 * abs(exact), (h, k, row, got, exact)
 
 
 def _lag2_row(h):

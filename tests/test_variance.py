@@ -17,6 +17,7 @@ from scipy.special import zeta
 from zchurst import (
     CapReached,
     DomainError,
+    NotPositiveDefinite,
     QuadratureNotConverged,
     UnsupportedOrder,
     VarianceApproxConfig,
@@ -320,6 +321,16 @@ def test_var_c_approx_tracks_exact():
         for n in (1, 2, 3, 64):
             all_exact = VarianceApproxConfig(m=3, eps=1e-300, n_tilde_cap=max(n, 2))
             assert var_c_approx(h, n, all_exact) == var_c_exact(h, n), (h, n)
+
+
+def test_near_one_boundary_of_the_default_quadrature():
+    # the near-singular lags at H 0.99998 need more than 768 nodes (a 24-node
+    # start's ceiling) but converge within the default's 32 * 32 = 1024; from
+    # H 0.99999 on, Sigma itself is not positive definite in double precision
+    v = var_c_approx(0.99998, 64)
+    assert math.isfinite(v) and v > 0.0
+    with pytest.raises(NotPositiveDefinite):
+        var_c_approx(0.99999, 64)
 
 
 def test_variance_config_validation():
