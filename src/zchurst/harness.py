@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CapReached, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .estimators import (
     H_FLOOR,
     asymptotic_expectation,
@@ -99,7 +99,7 @@ class VarianceProxy:
         steps = round(1.0 / grid_step)
         interior = np.linspace(0.0, 1.0, steps + 1)[1:-1]
         h_grid = np.concatenate(([H_FLOOR], interior, [1.0]))
-        f_grid = np.array([n * var_c_approx(h, n, cfg, q) for h in h_grid])
+        f_grid = n * var_c_approx(h_grid, n, cfg, q)
         h_grid.setflags(write=False)
         f_grid.setflags(write=False)
         return cls(n=n, h_grid=h_grid, f_grid=f_grid)
@@ -307,16 +307,15 @@ def table1(
     """Threshold lags k at which the order-m Taylor form reaches accuracy eps.
 
     Returns one row dict per (h, eps); a capped search is annotated rather
-    than raised so the table stays rectangular.
+    than raised so the table stays rectangular.  Each eps column is one
+    k_threshold search over the whole grid.
     """
+    columns = [k_threshold(np.asarray(hurst_grid), m, eps, q, k_max).tolist() for eps in eps_list]
     rows = []
-    for h in hurst_grid:
-        for eps in eps_list:
-            try:
-                k = k_threshold(h, m, eps, q, k_max=k_max)
-                rows.append({"h": h, "eps": eps, "k": k, "capped": False})
-            except CapReached:
-                rows.append({"h": h, "eps": eps, "k": None, "capped": True})
+    for h, ks in zip(hurst_grid, zip(*columns)):
+        for eps, k in zip(eps_list, ks):
+            capped = k > k_max
+            rows.append({"h": h, "eps": eps, "k": None if capped else k, "capped": capped})
     return rows
 
 

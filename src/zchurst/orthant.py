@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DegenerateCorrelation,
@@ -53,31 +52,39 @@ def _sigma(r1, r2, r3, r4) -> np.ndarray:
     return np.stack(np.broadcast_arrays(1.0, r1, r2, r3, r4), axis=-1)[..., _SIGMA_IDX]
 
 
-def _minors(r1, r2, r3, r4):
-    """|M11|, |M22|, |M13|, |M23|, |M14| of Sigma(r) from five shared 2x2
-    cofactors, broadcasting: bit for bit their first-row expansions."""
-    a = 1.0 - r1 * r1
-    u = r4 - r1 * r2
-    v = r2 - r1 * r3
-    w = r2 * r2 - r4 * r3
-    x = r4 * r1 - r2
-    y = r1 * r2 - r3
+def _cofactors(r1, r2, r3, r4):
+    """The six 2x2 cofactors that the minors of Sigma(r) share."""
     return (
-        a - r4 * u + r2 * x,
-        a - r2 * v + r3 * y,
-        r1 * u - v + r2 * w,
-        u - r1 * v + r3 * w,
-        r1 * x - y + r4 * w,
+        1.0 - r1 * r1,
+        r4 - r1 * r2,
+        r2 - r1 * r3,
+        r2 * r2 - r4 * r3,
+        r4 * r1 - r2,
+        r1 * r2 - r3,
     )
 
 
+def _row_minors(r1, r2, r4, a, u, v, w, x, y):
+    """|M11|, |M13|, |M14| of Sigma(r) from its cofactors."""
+    return a - r4 * u + r2 * x, r1 * u - v + r2 * w, r1 * x - y + r4 * w
+
+
+def _minors(r1, r2, r3, r4):
+    """|M11|, |M22|, |M13|, |M23|, |M14| of Sigma(r) from six shared 2x2
+    cofactors, broadcasting: bit for bit their first-row expansions."""
+    a, u, v, w, x, y = c = _cofactors(r1, r2, r3, r4)
+    det11, det13, det14 = _row_minors(r1, r2, r4, *c)
+    return det11, a - r2 * v + r3 * y, det13, u - r1 * v + r3 * w, det14
+
+
 def _leading_minors(rows: np.ndarray) -> np.ndarray:
-    """The (R, 3) leading principal minors of Sigma for (R, 4) rows."""
+    """The (R, 3) leading principal minors of Sigma for (R, 4) rows; of the
+    3x3 minors only the three of the first row are formed."""
     r1, r2, r3, r4 = rows.T
-    det11, _, det13, _, det14 = _minors(r1, r2, r3, r4)
-    a = 1.0 - r1 * r1
-    det3 = 1.0 - r4 * r4 - r1 * (r1 - r4 * r2) + r2 * (r1 * r4 - r2)
-    det12 = r1 * a - r4 * (r2 - r1 * r3) + r2 * (r1 * r2 - r3)
+    a, u, v, w, x, y = c = _cofactors(r1, r2, r3, r4)
+    det11, det13, det14 = _row_minors(r1, r2, r4, *c)
+    det3 = 1.0 - r4 * r4 - r1 * (r1 - r4 * r2) + r2 * x
+    det12 = r1 * a - r4 * v + r2 * y
     det4 = det11 - r1 * det12 + r2 * det13 - r3 * det14
     return np.stack([a, det3, det4], axis=1)
 
@@ -124,12 +131,46 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+def _gauss_legendre01(n: int):
+    """The n-node Gauss-Legendre rule on [0, 1]: ascending nodes, weights.
+
+    Newton's method on the Legendre three-term recurrence, with no linear
+    algebra.  Each root x >= 0 of P_n is found as y = 1 - x, with P_n
+    advanced through its differences P_j - P_{j-1}, so y keeps its relative
+    accuracy next to the end point; the roots x < 0 mirror them.  Against
+    40-digit rules the nodes on [0, 1] are within 4 ulp and the weights
+    within 6e-15 relative for 32 to 256 nodes.
+    """
+    half = (n + 1) // 2
+    theta = math.pi * (np.arange(half) + 0.75) / (n + 0.5)
+    # Tricomi's root estimates, as y = 1 - x
+    y = 2.0 * np.sin(0.5 * theta) ** 2 + (n - 1.0) / (8.0 * n**3) * np.cos(theta)
+    j = np.arange(1.0, n)
+    coeffs = list(zip((j / (j + 1.0)).tolist(), ((2.0 * j + 1.0) / (j + 1.0)).tolist()))
+    settled = False
+    while True:  # quadratic convergence: four passes from 4 to 1 024 nodes
+        p_prev, p, dp = 1.0, 1.0 - y, -y  # P_0, P_1, P_1 - P_0
+        for a, b in coeffs:
+            dp = a * dp - b * (y * p)
+            p_prev, p = p, p + dp
+        slope = n * (p_prev - (1.0 - y) * p)  # (1 - x^2) P_n'(x)
+        step = p * y * (2.0 - y) / slope
+        y = y + step
+        if settled:  # this last step only refreshed slope for the weights
+            break
+        settled = bool(np.all(np.abs(step) <= 1e-10 * y))
+    w = y * (2.0 - y) / slope**2
+    up = n // 2  # for odd n the middle root x = 0 is not mirrored
+    nodes = np.concatenate([0.5 * y, (1.0 - 0.5 * y[:up])[::-1]])
+    return nodes, np.concatenate([w, w[:up][::-1]])
+
+
 @functools.lru_cache(maxsize=32)
 def _nodes01(*counts: int):
     """Gauss-Legendre nodes on [0, 1] of each node count, joined, and the
     weights of each rule."""
-    rules = [leggauss(count) for count in counts]
-    return np.concatenate([0.5 * (x + 1.0) for x, _ in rules]), tuple(0.5 * w for _, w in rules)
+    rules = [_gauss_legendre01(count) for count in counts]
+    return np.concatenate([t for t, _ in rules]), tuple(w for _, w in rules)
 
 
 def orthant2(rho12: float) -> float:
@@ -186,8 +227,11 @@ def _path_integral(r, *counts) -> list:
 _MAX_REFINE = 32
 
 # Rows per _refined pass, so memory is flat in R: a (rows, 96 nodes) array
-# of the joined first pass is 196 kB.
-_CHUNK = 256
+# of the joined first pass is 48 kB.  On 16 000 gamma rows, passes of 64 rows
+# took about 7 us per row and 400 page faults per call; passes of 256 took
+# 10 us and 52 000 faults, their temporaries handed back to the OS and
+# faulted in again on every pass.  32 rows took 8 us, 16 rows 10 to 15 us.
+_CHUNK = 64
 
 
 def orthant4_excess(s, q: QuadratureConfig = DEFAULT_QUADRATURE):

@@ -27,10 +27,9 @@ _PI_SQ = math.pi * math.pi
 
 # Lags in k_threshold's first gamma_exact call; each later block doubles, up
 # to _MAX_BLOCK, so short searches stay short and long ones make few calls.
-# Blocks of orthant._CHUNK (256) lags would make fewer calls still, but the
-# (rows, 3 * nodes) temporaries of the joined first pass raised the peak
-# memory of table1 and figure1 by about 1.5 MB at 48 nodes (144 per pass)
-# for no measurable time.
+# One block spans every H still searching, and orthant4_excess takes its
+# rows orthant._CHUNK (64) at a time, so a block of a 1 000-H grid needs no
+# more memory per pass than a block of one H.
 _BLOCK = 16
 _MAX_BLOCK = 64
 
@@ -102,31 +101,60 @@ def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
     subtracting it would cap relative accuracy near 1e-4 once gamma falls
     to ~1e-13 (large k, H < 1/2).
 
-    k may be a 1-d array of lags, giving an array equal bit for bit to one
-    call per lag; a failure raises the error of the lowest failing lag.
+    h and k may be 1-d arrays, broadcast into (H, lag) pairs, giving an
+    array equal bit for bit to one call per pair: the rows of every pair
+    missing from the memo go through one orthant4_excess call per sign.  A
+    failure raises the error of the first failing lag of the first H that
+    fails, in order of appearance.
     """
-    hh = as_hurst(h)
-    lags = np.atleast_1d(k).tolist()
-    if min(lags, default=2) < 2:
-        raise DomainError(f"gamma_exact needs k >= 2, got {min(lags)}")
-    if hh in (0.5, 1.0):
-        return 0.0 if np.ndim(k) == 0 else np.zeros(len(lags))
-    cache = _gamma_memo(hh, q)
-    misses = [v for v in dict.fromkeys(lags) if v not in cache]
-    if misses:
-        # Scalar rho, once per distinct lag: numpy's pow may differ in the
-        # last ulp (see fbm.rho).
-        r = {j: rho(hh, j) for j in {1, *(v + d for v in misses for d in (-1, 0, 1))}}
-        rows = np.array([(r[1], r[v], r[v + 1], r[v - 1]) for v in misses])
+    hs, ks = np.broadcast_arrays(np.atleast_1d(np.asarray(h, dtype=float)), np.atleast_1d(k))
+    # runs of one H, the shape of k_threshold's blocks and of one-H calls
+    ends = [*(np.flatnonzero(hs[1:] != hs[:-1]) + 1).tolist(), len(hs)]
+    runs = [(float(hs[a]), ks[a:b].tolist()) for a, b in zip([0, *ends], ends) if b > a]
+    values = _gamma_runs(runs, q)
+    return values[0] if np.ndim(h) == 0 and np.ndim(k) == 0 else np.array(values)
+
+
+def _gamma_runs(runs: list, q: QuadratureConfig) -> list:
+    """gamma_exact of each (H, lags) run, joined in order."""
+    lags = {}  # H -> its distinct lags, both in order of appearance
+    for hh, ks in runs:
+        lags.setdefault(as_hurst(hh), {}).update(dict.fromkeys(ks))
+    lowest = min((min(ks) for _, ks in runs), default=2)
+    if lowest < 2:
+        raise DomainError(f"gamma_exact needs k >= 2, got {lowest}")
+    memos = {
+        hh: dict.fromkeys(hl, 0.0) if hh in (0.5, 1.0) else _gamma_memo(hh, q)
+        for hh, hl in lags.items()
+    }
+    todo = [(hh, [v for v in hl if v not in memos[hh]]) for hh, hl in lags.items()]
+    todo = [(hh, misses) for hh, misses in todo if misses]
+    if todo:
+        rows = np.empty((sum(len(misses) for _, misses in todo), 4))
+        at = 0
+        for hh, misses in todo:
+            # Scalar rho, once per distinct lag of this H: numpy's pow may
+            # differ in the last ulp (see fbm.rho).
+            r = {j: rho(hh, j) for j in {1, *(v + d for v in misses for d in (-1, 0, 1))}}
+            rows[at : at + len(misses)] = [(r[1], r[v], r[v + 1], r[v - 1]) for v in misses]
+            at += len(misses)
         try:
             plus, minus = (orthant4_excess(x, q) for x in (rows, rows * (1.0, -1.0, -1.0, -1.0)))
-        except NumericalError:  # lag by lag, the lowest failing lag raises
-            if len(misses) == 1:
+        except NumericalError:
+            if len(rows) == 1:
                 raise
-            return np.array([gamma_exact(hh, v, q) for v in lags])
-        cache.update(zip(misses, (2.0 * (plus + minus)).tolist()))
-    values = [cache[v] for v in lags]
-    return values[0] if np.ndim(k) == 0 else np.array(values)
+            # H by H, then lag by lag: each part fills the memos or raises
+            parts = todo if len(todo) > 1 else [(todo[0][0], [v]) for v in todo[0][1]]
+            for part in parts:
+                _gamma_runs([part], q)
+        else:
+            values = iter((2.0 * (plus + minus)).tolist())
+            for hh, misses in todo:
+                memos[hh].update(zip(misses, values))
+    out = []
+    for hh, ks in runs:
+        out += map(memos[hh].__getitem__, ks)
+    return out
 
 
 def _taylor_coeffs(hh: float, m: int) -> list:
@@ -168,34 +196,64 @@ def k_threshold(
     eps: float,
     q: QuadratureConfig = DEFAULT_QUADRATURE,
     k_max: int = 100_000,
-) -> int:
+):
     """Least k >= 2 with |gamma_taylor - gamma_exact| / gamma_exact < eps.
 
-    Upward search against memoized gamma_exact in blocks of _BLOCK lags,
-    then twice as many each time up to _MAX_BLOCK; raises CapReached past
-    k_max (the H -> 1 corner needs five-digit k's).
+    h is one H, giving an int and raising CapReached past k_max (the H -> 1
+    corner needs five-digit k's), or a 1-d array of H, giving an int array
+    equal to one call per H, with k_max + 1 where that call would raise
+    CapReached.  Upward search against memoized gamma_exact in blocks of
+    _BLOCK lags, then twice as many each time up to _MAX_BLOCK; each block
+    is one gamma_exact call over every H still searching.
     """
-    hh = as_hurst(h)
-    if hh in (0.5, 1.0):
-        raise DomainError(
-            f"relative error is undefined at H={hh} where gamma vanishes identically"
-        )
+    hs = [as_hurst(v) for v in np.atleast_1d(h).tolist()]
+    for hh in hs:
+        if hh in (0.5, 1.0):
+            raise DomainError(
+                f"relative error is undefined at H={hh} where gamma vanishes identically"
+            )
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    coeffs = _taylor_coeffs(hh, m)  # also validates the order before searching
-    start, size = 2, _BLOCK
-    while start <= k_max:
+    _check_order(m)  # before searching, also for an empty grid
+    found = _search(hs, [_taylor_coeffs(hh, m) for hh in hs], eps, q, k_max, 2, _BLOCK)
+    if np.ndim(h):
+        return np.array(found, dtype=int)
+    if found[0] > k_max:
+        raise CapReached(k_max)
+    return found[0]
+
+
+def _search(hs, coeffs, eps, q, k_max, start, size) -> list:
+    """k_threshold's scan of each H in hs from lag start, in blocks from
+    size on: its threshold, or k_max + 1."""
+    found = [k_max + 1] * len(hs)
+    live = list(range(len(hs)))
+    while live and start <= k_max:
         ks = np.arange(start, min(start + size, k_max + 1))
-        start, size = start + size, min(2 * size, _MAX_BLOCK)
         try:
-            block = gamma_exact(hh, ks, q).tolist()
+            grid = np.repeat([hs[i] for i in live], ks.size)
+            blocks = gamma_exact(grid, np.tile(ks, len(live)), q).reshape(len(live), -1).tolist()
         except NumericalError:
+            if len(live) > 1:
+                # Every pending H alone, in grid order: the first H that
+                # fails alone raises, as in a loop of one-H calls.
+                for i in live:
+                    found[i] = _search([hs[i]], [coeffs[i]], eps, q, k_max, start, size)[0]
+                return found
             # The failing lag may lie past the threshold: go lazily, lag by lag.
-            block = (gamma_exact(hh, k, q) for k in ks.tolist())
-        for k, exact in zip(ks.tolist(), block):
-            if exact != 0.0 and abs(_taylor_series(hh, k, coeffs) - exact) / abs(exact) < eps:
-                return k
-    raise CapReached(k_max)
+            blocks = [(gamma_exact(hs[live[0]], k, q) for k in ks.tolist())]
+        searching = []
+        for i, block in zip(live, blocks):
+            hh, c = hs[i], coeffs[i]
+            for k, exact in zip(ks.tolist(), block):
+                if exact != 0.0 and abs(_taylor_series(hh, k, c) - exact) / abs(exact) < eps:
+                    found[i] = k
+                    break
+            else:
+                searching.append(i)
+        live = searching
+        start, size = start + size, min(2 * size, _MAX_BLOCK)
+    return found
 
 
 def _var_c(hh: float, n: int, n_tilde: int, m: int, q: QuadratureConfig) -> float:
@@ -229,21 +287,25 @@ def var_c_approx(
     n: int,
     cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
     q: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+):
     """Var_H(c_n) with the exact head / Taylor tail split at the n_tilde rule.
 
     n_tilde = min(k_threshold(h, m, eps), n_tilde_cap, n); the capped search
     never scans lags the cap would discard anyway, and there is no search at
     H in {1/2, 1}, where gamma vanishes identically.
+
+    h is one H, giving a float, or a 1-d array of H, giving an array equal
+    bit for bit to one call per H; one k_threshold call searches every H.
     """
-    hh = as_hurst(h)
-    n_tilde = min(cfg.n_tilde_cap, n)
-    if n > 2 and hh not in (0.5, 1.0):
-        try:
-            n_tilde = k_threshold(hh, cfg.m, cfg.eps, q, k_max=n_tilde)
-        except CapReached:
-            pass
-    return _var_c(hh, n, n_tilde, cfg.m, q)
+    hs = [as_hurst(v) for v in np.atleast_1d(h).tolist()]
+    cap = min(cfg.n_tilde_cap, n)
+    n_tilde = dict.fromkeys(hs, cap)
+    searched = [hh for hh in n_tilde if hh not in (0.5, 1.0)] if n > 2 else []
+    if searched:
+        found = k_threshold(np.array(searched), cfg.m, cfg.eps, q, k_max=cap)
+        n_tilde.update(zip(searched, np.minimum(found, cap).tolist()))
+    values = [_var_c(hh, n, n_tilde[hh], cfg.m, q) for hh in hs]
+    return values[0] if np.ndim(h) == 0 else np.array(values)
 
 
 def var_c_asymptotic(h, n: int) -> float:

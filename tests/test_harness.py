@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zchurst import DomainError, var_c_approx
+from zchurst import DomainError, harness, var_c_approx
 from zchurst.harness import (
     FIGURE1_COLUMNS,
     HEAF,
@@ -231,6 +231,34 @@ def test_table1_cap_annotation():
     assert by_h[0.65] == {"h": 0.65, "eps": 0.01, "k": 7, "capped": False}
     assert by_h[0.95]["k"] is None
     assert by_h[0.95]["capped"] is True
+
+
+def test_proxy_and_table1_search_their_grid_once(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def call(h, *args):
+            calls.append((name, np.size(h)))
+            return real(h, *args)
+
+        return call
+
+    monkeypatch.setattr(harness, "var_c_approx", counted("var_c_approx", harness.var_c_approx))
+    monkeypatch.setattr(harness, "k_threshold", counted("k_threshold", harness.k_threshold))
+    proxy = VarianceProxy.build(63, grid_step=0.05)
+    assert calls == [("var_c_approx", 21)]
+    assert proxy.f_grid.tobytes() == np.array([63 * var_c_approx(h, 63) for h in proxy.h_grid]).tobytes()
+    calls.clear()
+    rows = table1(eps_list=(0.01, 0.001), hurst_grid=(0.65, 0.95, 0.3), k_max=100)
+    assert calls == [("k_threshold", 3), ("k_threshold", 3)]
+    assert [(row["h"], row["eps"], row["k"]) for row in rows] == [
+        (0.65, 0.01, 7),
+        (0.65, 0.001, 21),
+        (0.95, 0.01, None),
+        (0.95, 0.001, None),
+        (0.3, 0.01, 13),
+        (0.3, 0.001, 41),
+    ]
 
 
 def test_variance_table_rows_shape():

@@ -151,6 +151,27 @@ def test_leading_minors_are_the_cofactor_expansion(rows):
     assert not accepted[smallest < -1e-9].any()
 
 
+def _leading_minors_by_five_minors(rows):
+    """The validation minors as formed before: through all five _minors."""
+    r1, r2, r3, r4 = rows.T
+    det11, _, det13, _, det14 = _minors(r1, r2, r3, r4)
+    a = 1.0 - r1 * r1
+    det3 = 1.0 - r4 * r4 - r1 * (r1 - r4 * r2) + r2 * (r1 * r4 - r2)
+    det12 = r1 * a - r4 * (r2 - r1 * r3) + r2 * (r1 * r2 - r3)
+    det4 = det11 - r1 * det12 + r2 * det13 - r3 * det14
+    return np.stack([a, det3, det4], axis=1)
+
+
+def test_leading_minors_equal_the_five_minor_route():
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(-1.0, 1.0, size=(20_000, 4))
+    rows = rows[np.linalg.eigvalsh(_sigma(*rows.T))[:, 0] > PD_TOL]
+    lags = [(rho(h, 1), rho(h, k), rho(h, k + 1), rho(h, k - 1)) for h in (0.2, 0.9) for k in (2, 40)]
+    rows = np.concatenate([rows, lags, np.array(lags) * (1.0, -1.0, -1.0, -1.0)])
+    assert len(rows) > 1_000
+    assert _leading_minors(rows).tobytes() == _leading_minors_by_five_minors(rows).tobytes()
+
+
 def test_nan_correlations_are_refused():
     with pytest.raises(DomainError, match="nan"):
         OrthantSpec4((0.2, math.nan, 0.1, 0.1))
@@ -330,6 +351,61 @@ def test_default_quadrature_against_mpmath_oracle():
                 )
                 assert err <= 1e-25 * abs(exact), (h, k, row)
                 assert abs(got - exact) <= 2e-13 * abs(exact), (h, k, row, got, exact)
+
+
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("a Gauss-Legendre rule reached LAPACK")
+
+
+def test_node_rules_need_no_lapack(monkeypatch):
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, _no_lapack)
+    _nodes01.cache_clear()
+    try:
+        for count in [4 << i for i in range(9)] + [7 << i for i in range(8)]:  # 4..1024, 7..896
+            t, (w,) = _nodes01(count)
+            assert t.shape == w.shape == (count,)
+            assert 0.0 < t[0] and t[-1] < 1.0 and np.all(np.diff(t) > 0.0) and np.all(w > 0.0)
+            np.testing.assert_allclose(t + t[::-1], 1.0, rtol=0, atol=2e-16)
+            np.testing.assert_allclose(w, w[::-1], rtol=1e-13)
+            # exact for every degree below 2 * count
+            for degree in (0, 1, count, 2 * count - 1):
+                assert abs(w @ t**degree * (degree + 1) - 1.0) <= 1e-13, (count, degree)
+    finally:
+        _nodes01.cache_clear()
+
+
+def _gauss_legendre01_mp(count):
+    """The count-node rule on [0, 1] at the working precision: Newton's
+    method on the plain three-term recurrence, from the Chebyshev-like
+    estimates cos(pi (i - 1/4) / (count + 1/2))."""
+    nodes, weights = [], []
+    for i in range(count, 0, -1):
+        x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(0.25)) / (count + mpmath.mpf(0.5)))
+        for _ in range(60):
+            p_prev, p = mpmath.mpf(1), x
+            for j in range(1, count):
+                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            slope = count * (p_prev - x * p) / (1 - x * x)  # P_count'(x)
+            x, moved = x - p / slope, p / slope
+            if abs(moved) < mpmath.mpf(2) ** (-mpmath.mp.prec + 8):
+                break
+        nodes.append((1 + x) / 2)
+        weights.append(1 / ((1 - x * x) * slope**2))
+    return nodes, weights
+
+
+def test_node_rules_against_mpmath():
+    # the default's first check (32 and 64 nodes); numpy's leggauss weights
+    # were off by 5.8e-14 and 1.3e-12 relative there
+    with mpmath.workdps(34):
+        for count in (DEFAULT_QUADRATURE.nodes, 2 * DEFAULT_QUADRATURE.nodes):
+            t, (w,) = _nodes01(count)
+            nodes, weights = _gauss_legendre01_mp(count)
+            for got, exact in zip(t.tolist(), nodes):
+                assert abs(got - exact) <= 4 * np.spacing(float(exact)), (count, got, exact)
+            for got, exact in zip(w.tolist(), weights):
+                assert abs(got - exact) <= 2e-13 * exact, (count, got, exact)
 
 
 def _lag2_row(h):

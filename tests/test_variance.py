@@ -7,6 +7,7 @@ aggregates built on top of them.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,10 +221,11 @@ def test_k_threshold_blocks_double_up_to_the_cap(monkeypatch):
     assert all(b - a == variance._MAX_BLOCK - 1 for a, b in blocks[3:-1])
 
 
-def test_blocks_raise_only_for_the_lowest_lag_used(monkeypatch):
+@pytest.fixture
+def fail_rows(monkeypatch):
     real = variance.orthant4_excess
 
-    def fail_rows(**labelled_r2):
+    def fail(**labelled_r2):
         """Make orthant4_excess raise, naming the label, on rows with that r2."""
 
         def excess(rows, q):
@@ -234,6 +236,10 @@ def test_blocks_raise_only_for_the_lowest_lag_used(monkeypatch):
 
         monkeypatch.setattr(variance, "orthant4_excess", excess)
 
+    return fail
+
+
+def test_blocks_raise_only_for_the_lowest_lag_used(fail_rows):
     # k_threshold(0.55, 3, 0.01) is 9, and its first block holds lags 2..17
     fail_rows(plus12=rho(0.55, 12))
     variance._gamma_memo.cache_clear()
@@ -247,6 +253,87 @@ def test_blocks_raise_only_for_the_lowest_lag_used(monkeypatch):
     variance._gamma_memo.cache_clear()
     with pytest.raises(QuadratureNotConverged, match="minus5"):
         gamma_exact(0.55, np.arange(2, 18))
+
+
+# H 0.5 and 1.0 (no search), mid H, H 0.95 (threshold 226 at eps 0.01, so
+# capped at n 127) and near-1 H whose searches run to the cap.
+GRID_H = (0.02, 0.3, 0.5, 0.55, 0.7, 0.95, 0.97, 0.999, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 1023, 8191])
+def test_var_c_approx_grid_equals_one_h_calls(n):
+    # the figure1 and campaign proxy lengths (tables lengths minus one), and
+    # n <= 2, where nothing is searched; 0.3 appears twice
+    variance._gamma_memo.cache_clear()
+    grid = var_c_approx(np.array(GRID_H), n)
+    variance._gamma_memo.cache_clear()
+    one_h = np.array([var_c_approx(h, n) for h in GRID_H])
+    assert grid.tobytes() == one_h.tobytes()
+    assert isinstance(var_c_approx(0.7, n), float)
+
+
+def test_k_threshold_grid_equals_one_h_calls():
+    hs = [h for h in GRID_H if h not in (0.5, 1.0)]
+    for eps, k_max in ((0.01, 127), (0.01, 1000), (1e-3, 300)):
+        variance._gamma_memo.cache_clear()
+        grid = k_threshold(np.array(hs), 3, eps, k_max=k_max)
+        variance._gamma_memo.cache_clear()
+        one_h = []
+        for h in hs:
+            try:
+                one_h.append(k_threshold(h, 3, eps, k_max=k_max))
+            except CapReached:
+                one_h.append(k_max + 1)  # how the grid marks a capped H
+        assert grid.tolist() == one_h, (eps, k_max)
+        assert (grid == k_max + 1).any() and (grid <= k_max).any()
+    assert k_threshold(np.array([]), 3, 0.01).shape == (0,)
+    with pytest.raises(DomainError):
+        k_threshold(np.array([0.3, 0.5]), 3, 0.01)
+
+
+def test_grid_blocks_are_one_gamma_exact_call(monkeypatch):
+    real_gamma, real_excess = variance.gamma_exact, variance.orthant4_excess
+    calls, excess_calls = [], []
+
+    def gamma(h, k, q):
+        calls.append(sorted(set(np.atleast_1d(h).tolist())))
+        return real_gamma(h, k, q)
+
+    def excess(rows, q):
+        excess_calls.append(len(rows))
+        return real_excess(rows, q)
+
+    monkeypatch.setattr(variance, "gamma_exact", gamma)
+    monkeypatch.setattr(variance, "orthant4_excess", excess)
+    variance._gamma_memo.cache_clear()
+    k_threshold(np.array([0.3, 0.55, 0.05]), 3, 1e-3, k_max=1000)  # 41, 26 and 55
+    # blocks 2..17 and 18..49 for all three, then 50..113 for H 0.05 alone
+    assert calls == [[0.05, 0.3, 0.55]] * 2 + [[0.05]]
+    assert excess_calls == [48, 48, 96, 96, 64, 64]
+
+
+def test_grid_raises_the_error_of_the_first_failing_h(fail_rows):
+    with pytest.raises(NotPositiveDefinite) as alone:
+        var_c_approx(0.99999, 64)
+    with pytest.raises(NotPositiveDefinite, match=re.escape(str(alone.value))):
+        var_c_approx(np.array([0.3, 0.99999, 0.7]), 64)
+    # at eps 1e-3 the thresholds of H 0.05 and 0.3 are 55 and 41: H 0.3
+    # fails first in the grid (block 2..17), H 0.05 later (block 50..113),
+    # and a loop of one-H calls meets H 0.05's failure first
+    fail_rows(earlier=rho(0.05, 52), later=rho(0.3, 4))
+    cfg = VarianceApproxConfig(eps=1e-3)
+    for call in (
+        lambda: [var_c_approx(h, 1000, cfg) for h in (0.05, 0.3, 0.7)],
+        lambda: var_c_approx(np.array([0.05, 0.3, 0.7]), 1000, cfg),
+        lambda: k_threshold(np.array([0.05, 0.3, 0.7]), 3, 1e-3),
+    ):
+        variance._gamma_memo.cache_clear()
+        with pytest.raises(QuadratureNotConverged, match="earlier"):
+            call()
+    # a failure past a threshold is never reached, in the grid as alone
+    fail_rows(past=rho(0.3, 45))
+    variance._gamma_memo.cache_clear()
+    assert k_threshold(np.array([0.05, 0.3]), 3, 1e-3).tolist() == [55, 41]
 
 
 def test_orthant_batches_are_chunked(monkeypatch):
