@@ -17,6 +17,8 @@ below only ever absorbs rounding noise.
 from __future__ import annotations
 
 import functools
+import itertools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +53,24 @@ def rho(h, k: int) -> float:
         return 1.0
     a = 2.0 * hh
     return 0.5 * ((k + 1.0) ** a - 2.0 * float(k) ** a + (k - 1.0) ** a)
+
+
+def _rho_spans(spans) -> tuple:
+    """rho(h, k) for k = lo..hi of each (h, lo, hi) span (lo >= 1), joined,
+    and the index at which each span's lag lo sits.
+
+    Bit for bit rho: each power j^(2h) by Python's scalar pow, once for the
+    lags that share it, and the second differences in numpy, whose
+    subtraction, multiplication and addition round exactly as Python's do.
+    Entries between two spans are not lags of either.
+    """
+    sizes = [hi - lo + 3 for _, lo, hi in spans]
+    powers = itertools.chain.from_iterable(
+        (float(j) ** (2.0 * h) for j in range(lo - 1, hi + 2)) for h, lo, hi in spans
+    )
+    p = np.fromiter(powers, float, sum(sizes))
+    starts = list(itertools.accumulate([0, *sizes[:-1]]))
+    return 0.5 * (p[2:] - 2.0 * p[1:-1] + p[:-2]), starts
 
 
 def rho_sequence(h, k_max: int) -> np.ndarray:
@@ -156,10 +176,41 @@ def _increments(hh: float, n: int, rng: np.random.Generator, lead=()) -> np.ndar
     return _assemble(z, a0, am, amid, n)
 
 
+_kept = threading.local()
+
+
+def _keyed(seed) -> np.random.Generator:
+    """The generator of Philox(key=seed) at its start, bit for bit.
+
+    One generator per thread is re-keyed through its state for every path,
+    which skips what the constructor does first: draw a fresh OS-entropy
+    SeedSequence that the key then discards.
+    """
+    key = int(seed)
+    if not 0 <= key < 1 << 128:
+        raise ValueError("key must be positive and less than 2**128.")
+    if not hasattr(_kept, "rng"):
+        _kept.rng = np.random.Generator(np.random.Philox(key=0))
+    rng = _kept.rng
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, np.uint64),
+            "key": np.array([key & (1 << 64) - 1, key >> 64], np.uint64),
+        },
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def synthesize(h, n: int, seed: int) -> SamplePath:
-    """Draw one exact fGn/fBm path of n increments, deterministic in seed."""
+    """Draw one exact fGn/fBm path of n increments, deterministic in seed:
+    the path of a Generator(Philox(key=seed))."""
     hh = as_hurst(h)
-    increments = _increments(hh, n, np.random.Generator(np.random.Philox(key=seed)))
+    increments = _increments(hh, n, _keyed(seed))
     levels = np.empty(n + 1)
     levels[0] = 0.0
     np.cumsum(increments, out=levels[1:])

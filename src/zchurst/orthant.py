@@ -21,6 +21,7 @@ import contextlib
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,29 +53,55 @@ def _sigma(r1, r2, r3, r4) -> np.ndarray:
     return np.stack(np.broadcast_arrays(1.0, r1, r2, r3, r4), axis=-1)[..., _SIGMA_IDX]
 
 
-def _cofactors(r1, r2, r3, r4):
-    """The six 2x2 cofactors that the minors of Sigma(r) share."""
+# The minors and the integrand are written as ufunc calls so that each
+# result can go into a workspace slot (out=...); with out=None a call
+# allocates, as the plain expression would.  Either way the ufuncs and
+# their order are those of the formula in the comment, so no bit moves.
+_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
+
+
+def _cofactors(r1, r2, r3, r4, out=(None,) * 5, tmp=None):
+    """The six 2x2 cofactors that the minors of Sigma(r) share; all but the
+    first, which is constant along the path, go into out where given."""
+    u, v, w, x, y = out
     return (
         1.0 - r1 * r1,
-        r4 - r1 * r2,
-        r2 - r1 * r3,
-        r2 * r2 - r4 * r3,
-        r4 * r1 - r2,
-        r1 * r2 - r3,
+        _sub(r4, _mul(r1, r2, out=u), out=u),  # r4 - r1 r2
+        _sub(r2, _mul(r1, r3, out=v), out=v),  # r2 - r1 r3
+        _sub(_mul(r2, r2, out=w), _mul(r4, r3, out=tmp), out=w),  # r2 r2 - r4 r3
+        _sub(_mul(r4, r1, out=x), r2, out=x),  # r4 r1 - r2
+        _sub(_mul(r1, r2, out=y), r3, out=y),  # r1 r2 - r3
     )
 
 
-def _row_minors(r1, r2, r4, a, u, v, w, x, y):
+def _row_minors(r1, r2, r4, a, u, v, w, x, y, out=(None,) * 3, tmp=None):
     """|M11|, |M13|, |M14| of Sigma(r) from its cofactors."""
-    return a - r4 * u + r2 * x, r1 * u - v + r2 * w, r1 * x - y + r4 * w
+    o11, o13, o14 = out
+    return (
+        # a - r4 u + r2 x
+        _add(_sub(a, _mul(r4, u, out=o11), out=o11), _mul(r2, x, out=tmp), out=o11),
+        # r1 u - v + r2 w
+        _add(_sub(_mul(r1, u, out=o13), v, out=o13), _mul(r2, w, out=tmp), out=o13),
+        # r1 x - y + r4 w
+        _add(_sub(_mul(r1, x, out=o14), y, out=o14), _mul(r4, w, out=tmp), out=o14),
+    )
 
 
-def _minors(r1, r2, r3, r4):
+def _minors(r1, r2, r3, r4, ws=None):
     """|M11|, |M22|, |M13|, |M23|, |M14| of Sigma(r) from six shared 2x2
-    cofactors, broadcasting: bit for bit their first-row expansions."""
-    a, u, v, w, x, y = c = _cofactors(r1, r2, r3, r4)
-    det11, det13, det14 = _row_minors(r1, r2, r4, *c)
-    return det11, a - r2 * v + r3 * y, det13, u - r1 * v + r3 * w, det14
+    cofactors, broadcasting: bit for bit their first-row expansions.
+
+    With a workspace ws (see _partials) they go into its slots 3, 4, 0, 1
+    and 2, through its temporary slot 5 and cofactor slots 6 to 10.
+    """
+    o13, o23, o14, o11, o22, tmp, *co = [None] * 11 if ws is None else ws[:11]
+    a, u, v, w, x, y = c = _cofactors(r1, r2, r3, r4, co, tmp)
+    det11, det13, det14 = _row_minors(r1, r2, r4, *c, (o11, o13, o14), tmp)
+    # a - r2 v + r3 y
+    det22 = _add(_sub(a, _mul(r2, v, out=o22), out=o22), _mul(r3, y, out=tmp), out=o22)
+    # u - r1 v + r3 w
+    det23 = _add(_sub(u, _mul(r1, v, out=o23), out=o23), _mul(r3, w, out=tmp), out=o23)
+    return det11, det22, det13, det23, det14
 
 
 def _leading_minors(rows: np.ndarray) -> np.ndarray:
@@ -180,57 +207,114 @@ def orthant2(rho12: float) -> float:
     return 0.25 + math.asin(rho12) / (2.0 * math.pi)
 
 
-def _clamped_arcsin(arg: np.ndarray) -> np.ndarray:
-    excess = max(float(np.max(arg, initial=0.0)), -float(np.min(arg, initial=0.0))) - 1.0
+def _clamped_arcsin(arg: np.ndarray, out=None) -> np.ndarray:
+    top = float(np.maximum.reduce(arg, axis=None, initial=0.0))
+    excess = max(top, -float(np.minimum.reduce(arg, axis=None, initial=0.0))) - 1.0
     if excess > _ARCSIN_SLACK:
         raise NotPositiveDefinite(
             f"arcsin argument {1.0 + excess:.17g} outside [-1, 1]: "
             "path left the positive definite region"
         )
     if not excess <= 0.0:  # also when a NaN hides the extremes
-        arg = np.clip(arg, -1.0, 1.0)
-    return np.arcsin(arg)
+        arg = np.clip(arg, -1.0, 1.0, out=out)
+    return np.arcsin(arg, out=out)
 
 
-def _partials(r1, r2, r3, r4):
+# Workspace slots of _partials: the three arcsine arguments, which become
+# the three partials (0-2), |M11| and |M22| (3, 4), a temporary (5) and the
+# five cofactors that vary along the path (6-10).  _path_integral adds the
+# three path correlations t*r2, t*r3, t*r4 (11-13).
+_PARTIAL_SLOTS = 11
+_SLOTS = 14
+
+
+def _partials(r1, r2, r3, r4, ws=None):
     """The three Plackett partial derivatives, broadcasting over arrays.
 
     d/dr2 carries a doubled weight because r2 occupies two symmetric entry
     pairs of Sigma ((1,3) and (2,4)); r3 and r4 occupy one pair each.
+
+    Every step writes into the workspace ws, of 11 or more (*shape) slots,
+    fresh if not given (shape (1,) for four scalars); the partials are its
+    first three slots.
     """
-    det11, det22, det13, det23, det14 = _minors(r1, r2, r3, r4)
+    if ws is None:
+        shape = np.broadcast_shapes(*(np.shape(v) for v in (r1, r2, r3, r4))) or (1,)
+        ws = np.empty((_PARTIAL_SLOTS, *shape))
+    det11, det22, det13, det23, det14 = _minors(r1, r2, r3, r4, ws)
+    tmp = ws[5]
+    # the arcsine arguments det13 / sqrt(det11 det22), det23 / det22, det14 / det11
+    _div(det13, np.sqrt(_mul(det11, det22, out=tmp), out=tmp), out=det13)
+    _div(det23, det22, out=det23)
+    _div(det14, det11, out=det14)
+    args = ws[:3]
+    _clamped_arcsin(args, out=args)  # one clamp check for the three
     pi = math.pi
-    # one clamp check for the three arcsine arguments
-    args = np.stack([det13 / np.sqrt(det11 * det22), det23 / det22, det14 / det11])
-    a2, a3, a4 = _clamped_arcsin(args)
-    d2 = (0.25 - a2 / (2.0 * pi)) / (pi * np.sqrt(1.0 - r2 * r2))
-    d3 = (0.25 + a3 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - r3 * r3))
-    d4 = (0.25 + a4 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - r4 * r4))
-    return d2, d3, d4
+    # d2 = (1/4 - a2 / (2 pi)) / (pi sqrt(1 - r2 r2)); d3 and d4 add a / (2 pi)
+    # and divide by 2 pi sqrt(1 - r r)
+    for d, r, sign, scale in zip(args, (r2, r3, r4), (_sub, _add, _add), (pi, 2 * pi, 2 * pi)):
+        sign(0.25, _div(d, 2.0 * pi, out=d), out=d)
+        root = np.sqrt(_sub(1.0, _mul(r, r, out=tmp), out=tmp), out=tmp)
+        _div(d, _mul(scale, root, out=tmp), out=d)
+    return tuple(args)
+
+
+# Doubles per workspace slot: one first pass of _CHUNK rows at the default
+# 32 + 64 joined nodes, 48 kB, so the 14 slots take 672 kB.  A pass with
+# more nodes takes fewer rows at a time; a rule of more than _SLOT_SIZE
+# nodes (q.nodes above 2 048) gets fresh buffers for each of its passes.
+_SLOT_SIZE = 64 * 96
+
+
+_kept = threading.local()
+
+
+def _workspace() -> np.ndarray:
+    """The (rows, nodes) buffers of _path_integral, kept across calls so
+    its temporaries are not handed back to the allocator (and to the OS)
+    and faulted in again on every pass.  Made on first use, one per thread."""
+    if not hasattr(_kept, "workspace"):
+        _kept.workspace = np.empty(_SLOTS * _SLOT_SIZE)
+    return _kept.workspace
 
 
 def _path_integral(r, *counts) -> list:
     """Path integral of each row of r ((R, 4), or one 4-tuple), one (R,) array
     per Gauss-Legendre node count, from one integrand pass over the joined
-    nodes: each node's integrand is elementwise, so joining moves no bit."""
-    r1, r2, r3, r4 = np.atleast_2d(r).T[:, :, None]
+    nodes: each node's integrand is elementwise, so joining moves no bit.
+
+    Rows go through the integrand as many at a time as the workspace
+    holds; as every step is elementwise per row, that moves no bit either.
+    """
+    rows = np.atleast_2d(r)
     t, weights = _nodes01(*counts)
-    d2, d3, d4 = _partials(r1, t * r2, t * r3, t * r4)
-    f = r2 * d2 + r3 * d3 + r4 * d4
-    # vecdot takes the same 1-d dot per row as w @ row; a 2-d gemv would
-    # sum in another order (last bits move).
-    ends = itertools.accumulate(counts)
-    return [np.vecdot(f[:, end - w.size : end], w) for w, end in zip(weights, ends)]
+    size = t.size
+    step = max(1, _SLOT_SIZE // size)
+    flat = _workspace() if size <= _SLOT_SIZE else np.empty(_SLOTS * size)
+    ends = list(itertools.accumulate(counts))
+    out = [np.empty(len(rows)) for _ in counts]
+    for at in range(0, len(rows), step):
+        part = rows[at : at + step]
+        ws = flat[: _SLOTS * len(part) * size].reshape(_SLOTS, len(part), size)
+        r1, r2, r3, r4 = part.T[:, :, None]
+        path = [_mul(t, v, out=slot) for v, slot in zip((r2, r3, r4), ws[11:])]
+        d2, d3, d4 = _partials(r1, *path, ws)
+        # r2 d2 + r3 d3 + r4 d4, through the slot of t*r2, no longer needed
+        f = _add(_mul(r2, d2, out=d2), _mul(r3, d3, out=path[0]), out=d2)
+        f = _add(f, _mul(r4, d4, out=path[0]), out=d2)
+        # vecdot takes the same 1-d dot per row as w @ row; a 2-d gemv would
+        # sum in another order (last bits move).
+        for res, w, end in zip(out, weights, ends):
+            np.vecdot(f[:, end - w.size : end], w, out=res[at : at + step])
+    return out
 
 
 # Hard ceiling on node-doubling refinement, as a multiple of q.nodes.
 _MAX_REFINE = 32
 
-# Rows per _refined pass, so memory is flat in R: a (rows, 96 nodes) array
-# of the joined first pass is 48 kB.  On 16 000 gamma rows, passes of 64 rows
-# took about 7 us per row and 400 page faults per call; passes of 256 took
-# 10 us and 52 000 faults, their temporaries handed back to the OS and
-# faulted in again on every pass.  32 rows took 8 us, 16 rows 10 to 15 us.
+# Rows per _refined call: its first pass, at the default 32 + 64 nodes,
+# fills each workspace slot once; later passes, with more nodes, take fewer
+# rows at a time.
 _CHUNK = 64
 
 

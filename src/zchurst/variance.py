@@ -13,13 +13,14 @@ threshold itself is the k_threshold table this module computes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapReached, DomainError, NumericalError, UnsupportedOrder
-from .fbm import as_hurst, rho
+from .fbm import _rho_spans, as_hurst, rho
 from .orthant import DEFAULT_QUADRATURE, QuadratureConfig, orthant4_excess
 
 _TWO_PI = 2.0 * math.pi
@@ -27,9 +28,10 @@ _PI_SQ = math.pi * math.pi
 
 # Lags in k_threshold's first gamma_exact call; each later block doubles, up
 # to _MAX_BLOCK, so short searches stay short and long ones make few calls.
-# One block spans every H still searching, and orthant4_excess takes its
-# rows orthant._CHUNK (64) at a time, so a block of a 1 000-H grid needs no
-# more memory per pass than a block of one H.
+# One block spans every H still searching and is tested as one (H, lag)
+# array.  orthant4_excess integrates its rows in passes of at most 64 x 96
+# cells in a workspace kept across calls, so a block of a 1 000-H grid
+# needs no more kernel memory than a block of one H.
 _BLOCK = 16
 _MAX_BLOCK = 64
 
@@ -112,32 +114,24 @@ def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
     ends = [*(np.flatnonzero(hs[1:] != hs[:-1]) + 1).tolist(), len(hs)]
     runs = [(float(hs[a]), ks[a:b].tolist()) for a, b in zip([0, *ends], ends) if b > a]
     values = _gamma_runs(runs, q)
-    return values[0] if np.ndim(h) == 0 and np.ndim(k) == 0 else np.array(values)
+    return float(values[0]) if np.ndim(h) == 0 and np.ndim(k) == 0 else values
 
 
-def _gamma_runs(runs: list, q: QuadratureConfig) -> list:
+def _gamma_runs(runs: list, q: QuadratureConfig) -> np.ndarray:
     """gamma_exact of each (H, lags) run, joined in order."""
-    lags = {}  # H -> its distinct lags, both in order of appearance
-    for hh, ks in runs:
-        lags.setdefault(as_hurst(hh), {}).update(dict.fromkeys(ks))
+    hurst = [as_hurst(hh) for hh, _ in runs]
     lowest = min((min(ks) for _, ks in runs), default=2)
     if lowest < 2:
         raise DomainError(f"gamma_exact needs k >= 2, got {lowest}")
-    memos = {
-        hh: dict.fromkeys(hl, 0.0) if hh in (0.5, 1.0) else _gamma_memo(hh, q)
-        for hh, hl in lags.items()
-    }
-    todo = [(hh, [v for v in hl if v not in memos[hh]]) for hh, hl in lags.items()]
-    todo = [(hh, misses) for hh, misses in todo if misses]
+    # gamma vanishes identically at H 1/2 and 1: no memo, no orthant rows
+    memos = {hh: _gamma_memo(hh, q) for hh in hurst if hh not in (0.5, 1.0)}
+    missing = {hh: {} for hh in memos}  # H -> its distinct missing lags, in order
+    for hh, (_, ks) in zip(hurst, runs):
+        if hh in memos:
+            missing[hh].update(dict.fromkeys(v for v in ks if v not in memos[hh]))
+    todo = [(hh, list(misses)) for hh, misses in missing.items() if misses]
     if todo:
-        rows = np.empty((sum(len(misses) for _, misses in todo), 4))
-        at = 0
-        for hh, misses in todo:
-            # Scalar rho, once per distinct lag of this H: numpy's pow may
-            # differ in the last ulp (see fbm.rho).
-            r = {j: rho(hh, j) for j in {1, *(v + d for v in misses for d in (-1, 0, 1))}}
-            rows[at : at + len(misses)] = [(r[1], r[v], r[v + 1], r[v - 1]) for v in misses]
-            at += len(misses)
+        rows = _orthant_rows(todo)
         try:
             plus, minus = (orthant4_excess(x, q) for x in (rows, rows * (1.0, -1.0, -1.0, -1.0)))
         except NumericalError:
@@ -151,13 +145,38 @@ def _gamma_runs(runs: list, q: QuadratureConfig) -> list:
             values = iter((2.0 * (plus + minus)).tolist())
             for hh, misses in todo:
                 memos[hh].update(zip(misses, values))
-    out = []
-    for hh, ks in runs:
-        out += map(memos[hh].__getitem__, ks)
-    return out
+    values = (
+        map(memos[hh].__getitem__, ks) if hh in memos else itertools.repeat(0.0, len(ks))
+        for hh, (_, ks) in zip(hurst, runs)
+    )
+    return np.fromiter(itertools.chain.from_iterable(values), float, sum(len(ks) for _, ks in runs))
 
 
-def _taylor_coeffs(hh: float, m: int) -> list:
+def _orthant_rows(todo: list) -> np.ndarray:
+    """The (rho_1, rho_k, rho_{k+1}, rho_{k-1}) row of each lag k of each
+    (H, lags) item of todo, in order.
+
+    Scalar pow, once per power over the span of each H's lags and their
+    neighbours (numpy's pow may differ in the last ulp, see fbm.rho); lags
+    scattered over more than twice their count get a span each.
+    """
+    spans = []  # (H, lo, hi, the lags whose rho come from lo..hi)
+    for hh, lags in todo:
+        lo, hi = min(lags), max(lags)
+        if hi - lo < 2 * len(lags) + 16:
+            spans.append((hh, lo - 1, hi + 1, lags))
+        else:
+            spans += [(hh, k - 1, k + 1, [k]) for k in lags]
+    r, starts = _rho_spans([(hh, lo, hi) for hh, lo, hi, _ in spans])
+    at = np.repeat(np.subtract(starts, [lo for _, lo, _, _ in spans]), [len(ks) for *_, ks in spans])
+    at += [k for *_, ks in spans for k in ks]
+    rows = np.empty((at.size, 4))
+    rows[:, 0] = np.repeat([rho(hh, 1) for hh, _ in todo], [len(lags) for _, lags in todo])
+    rows[:, 1:] = r[at[:, None] + (0, 1, -1)]  # rho_k, rho_{k+1}, rho_{k-1}
+    return rows
+
+
+def _taylor_coeffs(hh: float, m: int) -> tuple:
     """Per-order coefficients a_l with gamma_taylor = sum_l a_l * u^(2l).
 
     a_l = 4 * D_{2l}(rho_1)/(2l)! where D_{2l} is the 2l-th derivative of
@@ -168,7 +187,7 @@ def _taylor_coeffs(hh: float, m: int) -> list:
     d2 = (1.0 - r) / (_PI_SQ * (1.0 + r))
     d4 = 4.0 * (1.0 - r) * (2.0 + r) ** 2 / (_PI_SQ * (1.0 + r) ** 3)
     d6 = 16.0 * (1.0 - r) * (7.0 + 6.0 * r + 2.0 * r * r) ** 2 / (_PI_SQ * (1.0 + r) ** 5)
-    return [4.0 * d / f for d, f in ((d2, 2.0), (d4, 24.0), (d6, 720.0))][:m]
+    return tuple(4.0 * d / f for d, f in ((d2, 2.0), (d4, 24.0), (d6, 720.0)))[:m]
 
 
 def gamma_taylor(h, k: int, m: int = 3) -> float:
@@ -179,14 +198,15 @@ def gamma_taylor(h, k: int, m: int = 3) -> float:
     return _taylor_series(hh, float(k), _taylor_coeffs(hh, m))
 
 
-def _taylor_series(hh: float, k, coeffs: list):
-    """gamma_taylor at a float lag k, or at each lag of a float array k."""
+def _taylor_series(hh, k, coeffs):
+    """gamma_taylor at a lag k, or broadcast over arrays: a float array of
+    lags k, with hh and each coefficient of coeffs an (H, 1) column."""
     u2 = (hh * (2.0 * hh - 1.0) * k ** (2.0 * hh - 2.0)) ** 2
-    total = 0.0
+    total = coeffs[0] * u2  # never -0.0: both factors are >= 0
     power = u2
-    for a in coeffs:
-        total = total + a * power
+    for a in coeffs[1:]:
         power = power * u2
+        total = total + a * power
     return total
 
 
@@ -223,16 +243,48 @@ def k_threshold(
     return found[0]
 
 
+def _accurate(hh, k, coeffs, exact, eps) -> bool:
+    """The threshold rule at one lag, with Python's scalar pow."""
+    return exact != 0.0 and abs(_taylor_series(hh, k, coeffs) - exact) / abs(exact) < eps
+
+
+# numpy's array pow may differ from Python's scalar pow in the last bits,
+# which moves a ratio by about 1e-15 of |taylor / exact| (at most 1 + eps
+# near the boundary); ratios within this band of eps are decided again by
+# the scalar rule, so every decision is the scalar one.
+_GUARD = 1e-9
+
+
+# Blocks of at most this many (H, lag) cells are tested lag by lag with the
+# scalar rule, which stops at the first hit: the array test costs about as
+# much as 32 scalar tests.
+_SCALAR_CELLS = 32
+
+
+def _first_hits(hs, coeffs, ks, exact, eps) -> list:
+    """Each H's first lag of ks that meets the threshold rule, or None, for
+    an (H,) array hs, an (H, m) array coeffs and an (H, lags) block of
+    exact values, tested as one array."""
+    taylor = _taylor_series(hs[:, None], ks.astype(float), coeffs.T[:, :, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(taylor - exact) / np.abs(exact)
+    hits = ratio < eps  # False where exact is 0: the ratio is inf or nan
+    for i, j in zip(*np.nonzero(np.abs(ratio - eps) <= _GUARD * (1.0 + eps))):
+        hits[i, j] = _accurate(float(hs[i]), int(ks[j]), coeffs[i], exact[i, j], eps)
+    first = hits.argmax(axis=1).tolist()
+    return [int(ks[j]) if hits[i, j] else None for i, j in enumerate(first)]
+
+
 def _search(hs, coeffs, eps, q, k_max, start, size) -> list:
-    """k_threshold's scan of each H in hs from lag start, in blocks from
-    size on: its threshold, or k_max + 1."""
+    """k_threshold's scan of each H in hs (with its (m,) Taylor coeffs) from
+    lag start, in blocks from size on: its threshold, or k_max + 1."""
     found = [k_max + 1] * len(hs)
     live = list(range(len(hs)))
     while live and start <= k_max:
         ks = np.arange(start, min(start + size, k_max + 1))
         try:
             grid = np.repeat([hs[i] for i in live], ks.size)
-            blocks = gamma_exact(grid, np.tile(ks, len(live)), q).reshape(len(live), -1).tolist()
+            exact = gamma_exact(grid, np.tile(ks, len(live)), q).reshape(len(live), -1)
         except NumericalError:
             if len(live) > 1:
                 # Every pending H alone, in grid order: the first H that
@@ -240,46 +292,93 @@ def _search(hs, coeffs, eps, q, k_max, start, size) -> list:
                 for i in live:
                     found[i] = _search([hs[i]], [coeffs[i]], eps, q, k_max, start, size)[0]
                 return found
-            # The failing lag may lie past the threshold: go lazily, lag by lag.
-            blocks = [(gamma_exact(hs[live[0]], k, q) for k in ks.tolist())]
-        searching = []
-        for i, block in zip(live, blocks):
-            hh, c = hs[i], coeffs[i]
-            for k, exact in zip(ks.tolist(), block):
-                if exact != 0.0 and abs(_taylor_series(hh, k, c) - exact) / abs(exact) < eps:
-                    found[i] = k
-                    break
+            exact = None
+        if exact is None or exact.size <= _SCALAR_CELLS:
+            # Few cells: the scalar rule lag by lag, up to each H's first
+            # hit.  After a failed block (of one H) lazily: the failing lag
+            # may lie past the threshold.
+            lags = ks.tolist()
+            if exact is None:
+                h0 = hs[live[0]]
+                rows = [(gamma_exact(h0, k, q) for k in lags)]
             else:
+                rows = exact.tolist()
+            hits = [
+                next((k for k, v in zip(lags, row) if _accurate(hs[i], k, coeffs[i], v, eps)), None)
+                for i, row in zip(live, rows)
+            ]
+        else:
+            hits = _first_hits(
+                np.array([hs[i] for i in live]), np.array([coeffs[i] for i in live]), ks, exact, eps
+            )
+        searching = []
+        for i, k in zip(live, hits):
+            if k is None:
                 searching.append(i)
+            else:
+                found[i] = k
         live = searching
         start, size = start + size, min(2 * size, _MAX_BLOCK)
     return found
 
 
-def _var_c(hh: float, n: int, n_tilde: int, m: int, q: QuadratureConfig) -> float:
-    """(n gamma(0) + 2 sum_{k=1}^{n-1} (n-k) gamma(k)) / n^2.
+# Rows times lags per array of var_c's Taylor tail: 64 kB, as large as the
+# longest one-H tail of the n 8191 proxy.
+_TAIL_CELLS = 8192
 
-    Lags below n_tilde are exact; from n_tilde on the order-m Taylor form.
+
+def _var_c(hs: list, n: int, n_tilde: list, m: int, q: QuadratureConfig) -> list:
+    """(n gamma(0) + 2 sum_{k=1}^{n-1} (n-k) gamma(k)) / n^2 for each H of hs.
+
+    Lags below that H's n_tilde are exact, read for every H in one
+    gamma_exact call; from n_tilde on the order-m Taylor form.  Each value
+    is bit for bit a one-H sum.
     """
     if n < 1:
         raise DomainError(f"need n >= 1 windows, got {n}")
-    if hh == 1.0:
-        return 0.0
-    head_top = min(n_tilde, n)
-    ks = np.arange(2, head_top)
-    acc = (n - 1) * gamma1(hh)
-    # Added in lag order: np.sum adds pairwise and would move output bytes.
-    for term in ((n - ks) * gamma_exact(hh, ks, q)).tolist():
-        acc += term
-    if head_top < n:
-        ks = np.arange(head_top, n, dtype=float)
-        acc += float(np.sum((n - ks) * _taylor_series(hh, ks, _taylor_coeffs(hh, m))))
-    return (n * gamma0(hh) + 2.0 * acc) / (n * n)
+    # H = 1 has no head and no tail: gamma vanishes, and so does the value
+    tops = [n if hh == 1.0 else min(top, n) for hh, top in zip(hs, n_tilde)]
+    counts = [0 if hh == 1.0 else max(top - 2, 0) for hh, top in zip(hs, tops)]
+    starts = list(itertools.accumulate([0, *counts]))[:-1]
+    ks = np.arange(sum(counts)) - np.repeat(np.subtract(starts, 2), counts)  # 2, 3, ... per H
+    terms = gamma_exact(np.repeat(hs, counts), ks, q)
+    terms *= n - ks  # (n - k) gamma(k)
+    values = []
+    for hh, start, count in zip(hs, starts, counts):
+        total = (n - 1) * gamma1(hh)
+        # Added in lag order: np.sum adds pairwise and would move output bytes.
+        for term in terms[start : start + count].tolist():
+            total += term
+        values.append(total)
+    # The Taylor tails, H with the same head length together, a few rows at
+    # a time: rows of a broadcast pow and row sums are bit for bit the
+    # one-H arrays and sums.
+    groups = {}
+    for i, top in enumerate(tops):
+        if top < n:
+            groups.setdefault(top, []).append(i)
+    for top, rows in groups.items():
+        tail = np.arange(top, n, dtype=float)
+        step = max(1, _TAIL_CELLS // tail.size)
+        for at in range(0, len(rows), step):
+            part = rows[at : at + step]
+            if len(part) == 1:  # one row: scalar H and coefficients cost least
+                h, coeffs = hs[part[0]], _taylor_coeffs(hs[part[0]], m)
+            else:
+                h = np.array([[hs[i]] for i in part])
+                coeffs = np.array([_taylor_coeffs(hs[i], m) for i in part]).T[:, :, None]
+            sums = np.sum((n - tail) * _taylor_series(h, tail, coeffs), axis=-1)
+            for i, tail_sum in zip(part, np.atleast_1d(sums).tolist()):
+                values[i] += tail_sum
+    return [
+        0.0 if hh == 1.0 else (n * gamma0(hh) + 2.0 * total) / (n * n)
+        for hh, total in zip(hs, values)
+    ]
 
 
 def var_c_exact(h, n: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Var_H(c_n) with every lag evaluated exactly; intended for n <= ~2000."""
-    return _var_c(as_hurst(h), n, n, 3, q)
+    return _var_c([as_hurst(h)], n, [n], 3, q)[0]
 
 
 def var_c_approx(
@@ -295,7 +394,9 @@ def var_c_approx(
     H in {1/2, 1}, where gamma vanishes identically.
 
     h is one H, giving a float, or a 1-d array of H, giving an array equal
-    bit for bit to one call per H; one k_threshold call searches every H.
+    bit for bit to one call per H.  One k_threshold call searches every H,
+    one gamma_exact call reads every H's exact head, and the Taylor tails of
+    H with the same n_tilde are formed together and summed row by row.
     """
     hs = [as_hurst(v) for v in np.atleast_1d(h).tolist()]
     cap = min(cfg.n_tilde_cap, n)
@@ -304,7 +405,7 @@ def var_c_approx(
     if searched:
         found = k_threshold(np.array(searched), cfg.m, cfg.eps, q, k_max=cap)
         n_tilde.update(zip(searched, np.minimum(found, cap).tolist()))
-    values = [_var_c(hh, n, n_tilde[hh], cfg.m, q) for hh in hs]
+    values = _var_c(hs, n, [n_tilde[hh] for hh in hs], cfg.m, q)
     return values[0] if np.ndim(h) == 0 else np.array(values)
 
 

@@ -8,6 +8,9 @@ transformed, must show up here.  The full-spectrum oracle below separates
 the two: a new FFT route moves paths by rounding only, a new layout by O(1).
 """
 
+import concurrent.futures
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,14 @@ from zchurst import (
     rho_sequence,
     synthesize,
 )
-from zchurst.fbm import _assemble, _embedding_scales, _embedding_size, increments_block
+from zchurst.fbm import (
+    _assemble,
+    _embedding_scales,
+    _embedding_size,
+    _increments,
+    _rho_spans,
+    increments_block,
+)
 
 H_GRID = [round(0.05 * i, 2) for i in range(1, 21)]
 
@@ -202,3 +212,50 @@ def test_block_rows_and_levels_are_bit_identical():
             np.testing.assert_array_equal(row, _assemble(zrow, *scales, n))
     path = synthesize(0.7, 1000, seed=4)
     np.testing.assert_array_equal(path.levels, np.concatenate(([0.0], np.cumsum(path.increments))))
+
+
+def test_rho_spans_are_the_scalar_rho():
+    # shared powers and numpy differences, each lag bit for bit fbm.rho
+    spans = [(1e-4, 1, 3), (0.05, 2, 17), (0.3, 1, 1), (0.5, 7, 9), (0.61, 40, 140)]
+    spans += [(0.75, 4090, 4100), (0.95, 99_990, 99_999), (0.9999, 2, 5), (1.0, 1, 4)]
+    r, starts = _rho_spans(spans)
+    for (h, lo, hi), at in zip(spans, starts):
+        got = r[at : at + hi - lo + 1]
+        want = np.array([rho(h, k) for k in range(lo, hi + 1)])
+        assert got.tobytes() == want.tobytes(), (h, lo, hi)
+
+
+def test_paths_are_the_philox_key_streams():
+    # the re-keyed per-process generator draws what Philox(key=seed) draws,
+    # whatever path came before, and refuses the keys Philox refuses
+    seeds = (0, 1, 2**63, 2**64 - 1, 2**64, 2**128 - 1, 1)
+    for h, n in ((0.3, 2), (0.7, 128), (0.95, 1024), (1.0, 16)):
+        for seed in seeds:
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            want = _increments(h, n, rng)
+            assert synthesize(h, n, seed).increments.tobytes() == want.tobytes()
+    for bad in (-1, 2**128):
+        with pytest.raises(ValueError):
+            np.random.Philox(key=bad)
+        with pytest.raises(ValueError):
+            synthesize(0.7, 16, bad)
+
+
+def test_paths_are_per_thread_streams():
+    # each thread re-keys its own generator: a switch between re-keying and
+    # drawing cannot hand one thread another's stream
+    seeds = range(8)
+    def paths(seed, times=1):
+        return [synthesize(0.7, 64, seed).increments.tobytes() for _ in range(times)]
+
+    serial = [paths(seed) for seed in seeds]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            runs = [pool.submit(paths, seed, 300) for seed in seeds]
+            results = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(switch)
+    for got, want in zip(results, serial):
+        assert got == want * 300

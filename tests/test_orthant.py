@@ -7,8 +7,10 @@ derivatives are verified by central differences of an independent
 common-random-numbers simulation written out longhand in this file.
 """
 
+import concurrent.futures
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -30,6 +32,7 @@ from zchurst import (
     orthant4_mc,
     rho,
 )
+from zchurst import orthant
 from zchurst.orthant import (
     _CHUNK,
     _MAX_REFINE,
@@ -289,6 +292,73 @@ def test_joined_pass_is_two_single_rule_passes(rows, nodes):
     coarse, fine = _path_integral(rows, nodes, 2 * nodes)
     assert coarse.tobytes() == _path_integral(rows, nodes)[0].tobytes()
     assert fine.tobytes() == _path_integral(rows, 2 * nodes)[0].tobytes()
+
+
+def _path_integral_fresh(rows, *counts):
+    """The path integral as plain expressions, every step a fresh array:
+    the kernel before it kept a workspace, written out in this file."""
+    r1, r2, r3, r4 = np.atleast_2d(rows).T[:, :, None]
+    t, weights = _nodes01(*counts)
+    p2, p3, p4 = t * r2, t * r3, t * r4
+    a, u, v = 1.0 - r1 * r1, p4 - r1 * p2, p2 - r1 * p3
+    w, x, y = p2 * p2 - p4 * p3, p4 * r1 - p2, r1 * p2 - p3
+    det11, det13, det14 = a - p4 * u + p2 * x, r1 * u - v + p2 * w, r1 * x - y + p4 * w
+    det22, det23 = a - p2 * v + p3 * y, u - r1 * v + p3 * w
+    args = np.stack([det13 / np.sqrt(det11 * det22), det23 / det22, det14 / det11])
+    a2, a3, a4 = _clamped_arcsin(args)
+    pi = math.pi
+    d2 = (0.25 - a2 / (2.0 * pi)) / (pi * np.sqrt(1.0 - p2 * p2))
+    d3 = (0.25 + a3 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - p3 * p3))
+    d4 = (0.25 + a4 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - p4 * p4))
+    f = r2 * d2 + r3 * d3 + r4 * d4
+    ends = np.cumsum(counts)
+    return [np.vecdot(f[:, end - w.size : end], w) for w, end in zip(weights, ends)]
+
+
+def test_workspace_kernel_is_the_fresh_allocation_route():
+    rng = np.random.default_rng(19)
+    rows = rng.uniform(-0.95, 0.95, size=(4_000, 4))
+    rows = rows[_leading_minors(rows).min(axis=1) > 1e-3]
+    lags = [(rho(h, 1), rho(h, k), rho(h, k + 1), rho(h, k - 1)) for h in (0.2, 0.9) for k in (2, 40)]
+    rows = np.concatenate([lags, np.array(lags) * (1.0, -1.0, -1.0, -1.0), rows])
+    assert (rows[:, 1:] < 0).any() and (rows[:, 1:] > 0).any()
+    ws = orthant._workspace()
+    cap = ws.size
+    assert cap == orthant._SLOTS * orthant._SLOT_SIZE
+    earlier = None
+    for count, counts in ((1, (32, 64)), (64, (32, 64)), (37, (128,)), (3, (1024,))):
+        part = rows[:count]
+        got = _path_integral(part, *counts)
+        want = _path_integral_fresh(part, *counts)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (count, counts)
+        if earlier is not None:  # results do not live in the workspace
+            assert [v.tobytes() for v in earlier[0]] == earlier[1]
+        earlier = got, [v.tobytes() for v in got]
+    # the buffers never grow past their cap, and stay the same buffers
+    assert orthant._workspace() is ws and ws.size == cap
+
+
+def test_workspace_is_per_thread():
+    # threads interleave inside numpy's loops; each keeps its own buffers,
+    # so concurrent passes give what serial ones give
+    rng = np.random.default_rng(23)
+    rows = rng.uniform(-0.9, 0.9, size=(2_000, 4))
+    rows = rows[_leading_minors(rows).min(axis=1) > 1e-2][:6 * 64]
+    batches = [rows[i * 64 : (i + 1) * 64] for i in range(6)]
+    def passes(batch, times=1):
+        return [_path_integral(batch, 32, 64)[1].tobytes() for _ in range(times)]
+
+    serial = [passes(batch) for batch in batches]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(6) as pool:
+            runs = [pool.submit(passes, batch, 20) for batch in batches]
+            results = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(switch)
+    for got, want in zip(results, serial):
+        assert got == want * 20
 
 
 def _plackett_integrand_mp(row):

@@ -157,6 +157,19 @@ def test_gamma_exact_blocks_equal_single_lags(h, first, count):
         assert block.tobytes() == np.zeros(len(ks)).tobytes()
 
 
+def test_gamma_exact_scattered_pairs_equal_single_lags():
+    # runs of one H come back to the same H, lags go down, skip and repeat
+    # (H 0.3's lags scatter up to 900, so each gets its own span of powers),
+    # and H 0.05's lag 9 follows H 0.7's lag 8
+    hs = np.array([0.3] * 6 + [0.7] * 4 + [0.3] * 5 + [0.5, 0.05])
+    ks = np.array([2, 900, 3, 4, 40, 39, 10, 9, 8, 8, 5, 6, 7, 41, 2, 3, 9])
+    variance._gamma_memo.cache_clear()
+    pairs = gamma_exact(hs, ks)
+    variance._gamma_memo.cache_clear()
+    single = np.array([gamma_exact(h, k) for h, k in zip(hs.tolist(), ks.tolist())])
+    assert pairs.tobytes() == single.tobytes()
+
+
 def _linear_threshold(h, m, eps, k_max):
     """The threshold by a plain scan, one lag at a time; None past k_max."""
     for k in range(2, k_max + 1):
@@ -164,6 +177,33 @@ def _linear_threshold(h, m, eps, k_max):
         if exact != 0.0 and abs(gamma_taylor(h, k, m) - exact) / abs(exact) < eps:
             return k
     return None
+
+
+def test_guard_band_keeps_the_scalar_decision(monkeypatch):
+    # eps set to a lag's exact ratio (by the scalar rule) puts the block
+    # test on its boundary, where numpy's pow and Python's may disagree:
+    # the band hands those entries to the scalar rule, for one H and a grid
+    real = variance._accurate
+    rechecked = []
+
+    def accurate(*args):
+        rechecked.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(variance, "_accurate", accurate)
+    monkeypatch.setattr(variance, "_SCALAR_CELLS", 0)  # every block an array test
+    for h, k in ((0.55, 9), (0.3, 41), (0.05, 18), (0.9354, 49)):
+        exact = gamma_exact(h, k)
+        ratio = abs(gamma_taylor(h, k, 3) - exact) / abs(exact)
+        for eps in (ratio, np.nextafter(ratio, 1.0), np.nextafter(ratio, 0.0)):
+            expected = _linear_threshold(h, 3, eps, 1000)
+            rechecked.clear()
+            assert k_threshold(h, 3, eps, k_max=1000) == expected
+            assert (h, k) in rechecked
+            grid = k_threshold(np.array([0.7, h, 0.2]), 3, eps, k_max=1000)
+            assert grid[1] == expected
+        # at eps equal to the ratio, lag k itself misses
+        assert _linear_threshold(h, 3, ratio, 1000) != k
 
 
 def test_blocked_k_threshold_equals_linear_scan():
