@@ -261,8 +261,9 @@ def _partials(r1, r2, r3, r4, ws=None):
 
 # Doubles per workspace slot: one first pass of _CHUNK rows at the default
 # 32 + 64 joined nodes, 48 kB, so the 14 slots take 672 kB.  A pass with
-# more nodes takes fewer rows at a time; a rule of more than _SLOT_SIZE
-# nodes (q.nodes above 2 048) gets fresh buffers for each of its passes.
+# more nodes takes fewer rows at a time (6 at 1 024 nodes).  A pass of more
+# than _SLOT_SIZE nodes, which the last doublings reach once q.nodes is
+# above 192, takes one row at a time through a fresh buffer, one per call.
 _SLOT_SIZE = 64 * 96
 
 

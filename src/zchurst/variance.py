@@ -145,11 +145,10 @@ def _gamma_runs(runs: list, q: QuadratureConfig) -> np.ndarray:
             values = iter((2.0 * (plus + minus)).tolist())
             for hh, misses in todo:
                 memos[hh].update(zip(misses, values))
-    values = (
-        map(memos[hh].__getitem__, ks) if hh in memos else itertools.repeat(0.0, len(ks))
-        for hh, (_, ks) in zip(hurst, runs)
-    )
-    return np.fromiter(itertools.chain.from_iterable(values), float, sum(len(ks) for _, ks in runs))
+    out = []
+    for hh, (_, ks) in zip(hurst, runs):
+        out += map(memos[hh].__getitem__, ks) if hh in memos else [0.0] * len(ks)
+    return np.array(out)
 
 
 def _orthant_rows(todo: list) -> np.ndarray:
@@ -243,9 +242,13 @@ def k_threshold(
     return found[0]
 
 
-def _accurate(hh, k, coeffs, exact, eps) -> bool:
-    """The threshold rule at one lag, with Python's scalar pow."""
-    return exact != 0.0 and abs(_taylor_series(hh, k, coeffs) - exact) / abs(exact) < eps
+def _scalar_hit(hh, coeffs, lags, exact, eps):
+    """The first of lags that meets the threshold rule, given their exact
+    values, or None: the rule with Python's scalar pow, lag by lag."""
+    for k, value in zip(lags, exact):
+        if value != 0.0 and abs(_taylor_series(hh, k, coeffs) - value) / abs(value) < eps:
+            return k
+    return None
 
 
 # numpy's array pow may differ from Python's scalar pow in the last bits,
@@ -253,12 +256,6 @@ def _accurate(hh, k, coeffs, exact, eps) -> bool:
 # near the boundary); ratios within this band of eps are decided again by
 # the scalar rule, so every decision is the scalar one.
 _GUARD = 1e-9
-
-
-# Blocks of at most this many (H, lag) cells are tested lag by lag with the
-# scalar rule, which stops at the first hit: the array test costs about as
-# much as 32 scalar tests.
-_SCALAR_CELLS = 32
 
 
 def _first_hits(hs, coeffs, ks, exact, eps) -> list:
@@ -270,7 +267,8 @@ def _first_hits(hs, coeffs, ks, exact, eps) -> list:
         ratio = np.abs(taylor - exact) / np.abs(exact)
     hits = ratio < eps  # False where exact is 0: the ratio is inf or nan
     for i, j in zip(*np.nonzero(np.abs(ratio - eps) <= _GUARD * (1.0 + eps))):
-        hits[i, j] = _accurate(float(hs[i]), int(ks[j]), coeffs[i], exact[i, j], eps)
+        hit = _scalar_hit(float(hs[i]), coeffs[i], [int(ks[j])], [exact[i, j]], eps)
+        hits[i, j] = hit is not None
     first = hits.argmax(axis=1).tolist()
     return [int(ks[j]) if hits[i, j] else None for i, j in enumerate(first)]
 
@@ -293,20 +291,13 @@ def _search(hs, coeffs, eps, q, k_max, start, size) -> list:
                     found[i] = _search([hs[i]], [coeffs[i]], eps, q, k_max, start, size)[0]
                 return found
             exact = None
-        if exact is None or exact.size <= _SCALAR_CELLS:
-            # Few cells: the scalar rule lag by lag, up to each H's first
-            # hit.  After a failed block (of one H) lazily: the failing lag
-            # may lie past the threshold.
-            lags = ks.tolist()
-            if exact is None:
-                h0 = hs[live[0]]
-                rows = [(gamma_exact(h0, k, q) for k in lags)]
-            else:
-                rows = exact.tolist()
-            hits = [
-                next((k for k, v in zip(lags, row) if _accurate(hs[i], k, coeffs[i], v, eps)), None)
-                for i, row in zip(live, rows)
-            ]
+        if len(live) == 1:
+            # One H: the scalar rule lag by lag up to its first hit, which
+            # costs less than the array test; after a failed block lazily,
+            # as the failing lag may lie past the threshold.
+            hh, ch, lags = hs[live[0]], coeffs[live[0]], ks.tolist()
+            row = exact[0].tolist() if exact is not None else (gamma_exact(hh, k, q) for k in lags)
+            hits = [_scalar_hit(hh, ch, lags, row, eps)]
         else:
             hits = _first_hits(
                 np.array([hs[i] for i in live]), np.array([coeffs[i] for i in live]), ks, exact, eps
@@ -362,13 +353,10 @@ def _var_c(hs: list, n: int, n_tilde: list, m: int, q: QuadratureConfig) -> list
         step = max(1, _TAIL_CELLS // tail.size)
         for at in range(0, len(rows), step):
             part = rows[at : at + step]
-            if len(part) == 1:  # one row: scalar H and coefficients cost least
-                h, coeffs = hs[part[0]], _taylor_coeffs(hs[part[0]], m)
-            else:
-                h = np.array([[hs[i]] for i in part])
-                coeffs = np.array([_taylor_coeffs(hs[i], m) for i in part]).T[:, :, None]
+            h = np.array([[hs[i]] for i in part])
+            coeffs = np.array([_taylor_coeffs(hs[i], m) for i in part]).T[:, :, None]
             sums = np.sum((n - tail) * _taylor_series(h, tail, coeffs), axis=-1)
-            for i, tail_sum in zip(part, np.atleast_1d(sums).tolist()):
+            for i, tail_sum in zip(part, sums.tolist()):
                 values[i] += tail_sum
     return [
         0.0 if hh == 1.0 else (n * gamma0(hh) + 2.0 * total) / (n * n)

@@ -180,28 +180,29 @@ def _linear_threshold(h, m, eps, k_max):
 
 
 def test_guard_band_keeps_the_scalar_decision(monkeypatch):
-    # eps set to a lag's exact ratio (by the scalar rule) puts the block
+    # eps set to a lag's exact ratio (by the scalar rule) puts the array
     # test on its boundary, where numpy's pow and Python's may disagree:
-    # the band hands those entries to the scalar rule, for one H and a grid
-    real = variance._accurate
+    # the band hands those entries to the scalar rule.  H 0.95 keeps every
+    # block of the grid an array test; one H alone is scanned by the
+    # scalar rule throughout.
+    real = variance._scalar_hit
     rechecked = []
 
-    def accurate(*args):
-        rechecked.append(args[:2])
-        return real(*args)
+    def scalar_hit(hh, coeffs, lags, exact, eps):
+        rechecked.extend((hh, k) for k in lags)
+        return real(hh, coeffs, lags, exact, eps)
 
-    monkeypatch.setattr(variance, "_accurate", accurate)
-    monkeypatch.setattr(variance, "_SCALAR_CELLS", 0)  # every block an array test
+    monkeypatch.setattr(variance, "_scalar_hit", scalar_hit)
     for h, k in ((0.55, 9), (0.3, 41), (0.05, 18), (0.9354, 49)):
         exact = gamma_exact(h, k)
         ratio = abs(gamma_taylor(h, k, 3) - exact) / abs(exact)
         for eps in (ratio, np.nextafter(ratio, 1.0), np.nextafter(ratio, 0.0)):
             expected = _linear_threshold(h, 3, eps, 1000)
-            rechecked.clear()
             assert k_threshold(h, 3, eps, k_max=1000) == expected
-            assert (h, k) in rechecked
-            grid = k_threshold(np.array([0.7, h, 0.2]), 3, eps, k_max=1000)
+            rechecked.clear()
+            grid = k_threshold(np.array([0.7, h, 0.95]), 3, eps, k_max=1000)
             assert grid[1] == expected
+            assert (h, k) in rechecked
         # at eps equal to the ratio, lag k itself misses
         assert _linear_threshold(h, 3, ratio, 1000) != k
 
