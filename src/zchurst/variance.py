@@ -28,8 +28,8 @@ _PI_SQ = math.pi * math.pi
 
 # Lags in k_threshold's first gamma_exact call; each later block doubles, up
 # to _MAX_BLOCK, so short searches stay short and long ones make few calls.
-# One block spans every H still searching and is tested as one (H, lag)
-# array.  orthant4_excess integrates its rows in passes of at most 64 x 96
+# One block spans every H still searching and, for two or more H, is
+# tested as one (H, lag) array.  orthant4_excess integrates its rows in passes of at most 64 x 96
 # cells in a workspace kept across calls, so a block of a 1 000-H grid
 # needs no more kernel memory than a block of one H.
 _BLOCK = 16
