@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedOrder,
     ZchurstError,
 )
-from .fbm import SamplePath, as_hurst, rho, rho_sequence, synthesize
+from .fbm import SamplePath, as_hurst, rho, synthesize
 from .patterns import (
     Pattern,
     PatternClass,

@@ -73,21 +73,6 @@ def _rho_spans(spans) -> tuple:
     return 0.5 * (p[2:] - 2.0 * p[1:-1] + p[:-2]), starts
 
 
-def rho_sequence(h, k_max: int) -> np.ndarray:
-    """rho(h, k) for k = 0..k_max as an array.
-
-    Same second difference as rho(), vectorized; numpy's pow may differ
-    from the scalar path in the last ulp, which is harmless here (feeds
-    synthesis, where the PSD clamp absorbs rounding noise).
-    """
-    hh = as_hurst(h)
-    a = 2.0 * hh
-    k = np.arange(k_max + 1, dtype=float)
-    out = 0.5 * ((k + 1.0) ** a - 2.0 * k**a + np.abs(k - 1.0) ** a)
-    out[0] = 1.0
-    return out
-
-
 @dataclass(frozen=True)
 class SamplePath:
     """One synthesized path: increments Y_k and levels X_k (X_0 = 0)."""
@@ -117,8 +102,8 @@ def _embedding_scales(h: float, m: int):
     1/sqrt(2) complex-pair split folded in, so per-path work is one normal
     draw, one scale of the half spectrum and one real inverse FFT.
     """
-    cov = rho_sequence(h, m)
-    circ = np.concatenate([cov, cov[-2:0:-1]])  # length 2m, circulant row
+    r, _ = _rho_spans([(h, 1, m)])  # rho_1..rho_m, bit for bit rho
+    circ = np.concatenate([[1.0], r, r[-2::-1]])  # length 2m, circulant row
     lam = np.fft.rfft(circ).real  # eigenvalues lambda_0..lambda_m
     lam_max = lam.max()
     if lam.min() < -EPS_EIG * lam_max:

@@ -138,6 +138,10 @@ class CampaignSpec:
         object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
         if any(n < 3 for n in self.lengths):
             raise DomainError("every length must be >= 3 (window count >= 1)")
+        # cells are keyed by value: a repeat would overwrite an earlier cell
+        for name, grid in (("hurst_grid", self.hurst_grid), ("lengths", self.lengths)):
+            if len(set(grid)) < len(grid):
+                raise DomainError(f"{name} repeats a value: {grid}")
 
 
 @dataclass(frozen=True)
@@ -228,10 +232,10 @@ def _aggregate(values: np.ndarray, covered, failed, elapsed) -> CellStats:
 
 
 def build_proxies(spec: CampaignSpec) -> dict:
-    """One VarianceProxy per distinct length (ZC campaigns only need these)."""
+    """One VarianceProxy per length (ZC campaigns only need these)."""
     proxies = {}
     if ZC in spec.estimators:
-        for n in sorted(set(spec.lengths)):
+        for n in sorted(spec.lengths):
             windows = n - 1
             proxies[n] = VarianceProxy.build(
                 windows, spec.proxy_grid_step, spec.variance, spec.quadrature

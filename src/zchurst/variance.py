@@ -155,22 +155,17 @@ def _orthant_rows(todo: list) -> np.ndarray:
     """The (rho_1, rho_k, rho_{k+1}, rho_{k-1}) row of each lag k of each
     (H, lags) item of todo, in order.
 
-    Scalar pow, once per power over the span of each H's lags and their
-    neighbours (numpy's pow may differ in the last ulp, see fbm.rho); lags
-    scattered over more than twice their count get a span each.
+    Scalar pow, once per power over one span per H, from its lowest lag's
+    neighbour to its highest's (numpy's pow may differ in the last ulp, see
+    fbm.rho).
     """
-    spans = []  # (H, lo, hi, the lags whose rho come from lo..hi)
-    for hh, lags in todo:
-        lo, hi = min(lags), max(lags)
-        if hi - lo < 2 * len(lags) + 16:
-            spans.append((hh, lo - 1, hi + 1, lags))
-        else:
-            spans += [(hh, k - 1, k + 1, [k]) for k in lags]
-    r, starts = _rho_spans([(hh, lo, hi) for hh, lo, hi, _ in spans])
-    at = np.repeat(np.subtract(starts, [lo for _, lo, _, _ in spans]), [len(ks) for *_, ks in spans])
-    at += [k for *_, ks in spans for k in ks]
+    spans = [(hh, min(lags) - 1, max(lags) + 1) for hh, lags in todo]
+    r, starts = _rho_spans(spans)
+    counts = [len(lags) for _, lags in todo]
+    at = np.repeat(np.subtract(starts, [lo for _, lo, _ in spans]), counts)
+    at += [k for _, lags in todo for k in lags]
     rows = np.empty((at.size, 4))
-    rows[:, 0] = np.repeat([rho(hh, 1) for hh, _ in todo], [len(lags) for _, lags in todo])
+    rows[:, 0] = np.repeat([rho(hh, 1) for hh, _ in todo], counts)
     rows[:, 1:] = r[at[:, None] + (0, 1, -1)]  # rho_k, rho_{k+1}, rho_{k-1}
     return rows
 

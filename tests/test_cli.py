@@ -159,6 +159,9 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert main(["variance-table", "--h", "0.5,x", "--n", "16"]) == 2
     # out-of-domain H is an input problem, not a crash
     assert main(["variance-table", "--h", "1.2", "--n", "16"]) == 2
+    # a repeated grid value would overwrite a campaign cell
+    assert main(["figure3", "--h", "0.55 0.55", "--replications", "5"]) == 2
+    assert "repeats" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_numerical_failure(capsys):
@@ -357,7 +360,7 @@ PUBLIC_SURFACE = set(
     """
     ZchurstError InputError NumericalError BadLength CapReached DegenerateCorrelation
     DomainError EmbeddingNotPSD NotPositiveDefinite QuadratureNotConverged UnsupportedOrder
-    SamplePath as_hurst rho rho_sequence synthesize
+    SamplePath as_hurst rho synthesize
     Pattern PatternClass PatternCounts alpha beta change_indicator_count count_patterns
     p_bar p_hat pattern_class pattern_of_values
     DEFAULT_QUADRATURE OrthantSpec4 QuadratureConfig orthant2 orthant4 orthant4_excess

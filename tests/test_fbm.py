@@ -17,11 +17,12 @@ import pytest
 from zchurst import (
     BadLength,
     DomainError,
+    EmbeddingNotPSD,
     as_hurst,
     rho,
-    rho_sequence,
     synthesize,
 )
+from zchurst import fbm
 from zchurst.fbm import (
     _assemble,
     _embedding_scales,
@@ -57,17 +58,41 @@ def test_rho_anchor_values():
         rho(0.7, -1)
 
 
-def test_rho_sequence_matches_scalar():
-    for h in (0.05, 0.3, 0.5, 0.75, 0.95, 1.0):
-        seq = rho_sequence(h, 2000)
-        assert seq.shape == (2001,)
-        scalar = np.array([rho(h, k) for k in range(2001)])
-        # vectorized pow may differ from the scalar path in the last ulp;
-        # through the second difference that is an absolute error on the
-        # scale of the (k+1)^(2H) intermediates, not of the tiny output
-        k = np.arange(2001, dtype=float)
-        tol = 8e-16 * (k + 1.0) ** (2.0 * h) + 1e-15
-        assert np.all(np.abs(seq - scalar) <= tol)
+def test_embedding_covariance_is_the_scalar_rho(monkeypatch):
+    # paths are drawn from fbm.rho bit for bit: the row the embedding
+    # transforms is rho_0..rho_m, then rho_{m-1}..rho_1
+    rows = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a: rows.append(a.copy()) or rfft(a))
+    cases = [(0.55, 128), (0.95, 128), (0.05, 1), (0.3, 2), (0.75, 1024), (0.999, 4096)]
+    _embedding_scales.cache_clear()
+    try:
+        for h, m in cases:
+            _embedding_scales(h, m)
+    finally:
+        _embedding_scales.cache_clear()
+    for (h, m), circ in zip(cases, rows, strict=True):
+        want = [rho(h, k) for k in range(m + 1)]
+        assert circ.tobytes() == np.array(want + want[-2:0:-1]).tobytes(), (h, m)
+
+
+def test_embedding_guard_raises_and_clamps(monkeypatch):
+    # every off-diagonal lag at 1 + d puts lambda_0 near 2m and every other
+    # eigenvalue at -d; EPS_EIG * 2m = 1.6e-9 lies between the two d, so
+    # the first raises and the second is clamped to zero
+    m = 8
+    for d, raises in ((1e-6, True), (1e-13, False)):
+        monkeypatch.setattr(fbm, "_rho_spans", lambda spans: (np.full(m, 1.0 + d), [0]))
+        _embedding_scales.cache_clear()
+        try:
+            if raises:
+                with pytest.raises(EmbeddingNotPSD):
+                    _embedding_scales(0.7, m)
+            else:
+                a0, am, amid = _embedding_scales(0.7, m)
+                assert a0 > 0.0 and am == 0.0 and not amid.any()
+        finally:
+            _embedding_scales.cache_clear()
 
 
 def test_rho_asymptotic_ratio():

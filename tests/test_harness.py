@@ -70,7 +70,7 @@ def test_variance_proxy_grid_and_interpolation():
 def test_build_proxies_one_per_length():
     spec = CampaignSpec(
         hurst_grid=(0.6,),
-        lengths=(64, 128, 64),
+        lengths=(128, 64),
         replications=1,
         base_seed=1,
     )
@@ -100,6 +100,11 @@ def test_campaign_spec_validation():
         dict(good, estimators=("ZC", "DFA")),
         dict(good, lengths=(2,)),
         dict(good, hurst_grid=(0.0,)),
+        # cells are keyed by (H, n): a repeat would overwrite earlier cells
+        dict(good, hurst_grid=(0.55, 0.7, 0.55)),
+        dict(good, lengths=(64, 64)),
+        dict(good, lengths=(64, 64.0)),
+        dict(good, hurst_grid=(0.55, 0.7, 0.55), lengths=(64, 64), estimators=("HEAF",)),
     ):
         with pytest.raises(DomainError):
             CampaignSpec(**bad)

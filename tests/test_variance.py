@@ -159,8 +159,8 @@ def test_gamma_exact_blocks_equal_single_lags(h, first, count):
 
 def test_gamma_exact_scattered_pairs_equal_single_lags():
     # runs of one H come back to the same H, lags go down, skip and repeat
-    # (H 0.3's lags scatter up to 900, so each gets its own span of powers),
-    # and H 0.05's lag 9 follows H 0.7's lag 8
+    # (H 0.3's lags scatter up to 900, inside its one span of powers from
+    # lag 1 to 901), and H 0.05's lag 9 follows H 0.7's lag 8
     hs = np.array([0.3] * 6 + [0.7] * 4 + [0.3] * 5 + [0.5, 0.05])
     ks = np.array([2, 900, 3, 4, 40, 39, 10, 9, 8, 8, 5, 6, 7, 41, 2, 3, 9])
     variance._gamma_memo.cache_clear()
