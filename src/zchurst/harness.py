@@ -493,7 +493,8 @@ def variance_table_rows(
     cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
     q: QuadratureConfig = DEFAULT_QUADRATURE,
 ):
-    """Var_H(c_n), f_n, and (where defined) the H >= 3/4 asymptotic law."""
+    """Var_H(c_n), f_n, and (where defined: H >= 3/4, n >= 2) the
+    asymptotic law."""
     rows = []
     for h in h_list:
         hh = as_hurst(h)
@@ -507,7 +508,7 @@ def variance_table_rows(
                     "var_c": var_c,
                     "f_n": n * var_c,
                     "var_c_asymptotic": (
-                        var_c_asymptotic(hh, n) if hh >= 0.75 else None
+                        var_c_asymptotic(hh, n) if hh >= 0.75 and n >= 2 else None
                     ),
                 }
             )

@@ -53,63 +53,31 @@ def _sigma(r1, r2, r3, r4) -> np.ndarray:
     return np.stack(np.broadcast_arrays(1.0, r1, r2, r3, r4), axis=-1)[..., _SIGMA_IDX]
 
 
-# The minors and the integrand are written as ufunc calls so that each
-# result can go into a workspace slot (out=...); with out=None a call
-# allocates, as the plain expression would.  Either way the ufuncs and
-# their order are those of the formula in the comment, so no bit moves.
-_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
-
-
-def _cofactors(r1, r2, r3, r4, out=(None,) * 5, tmp=None):
-    """The six 2x2 cofactors that the minors of Sigma(r) share; all but the
-    first, which is constant along the path, go into out where given."""
-    u, v, w, x, y = out
+def _cofactors(rows: np.ndarray):
+    """r1, r2, r3, r4 of (R, 4) rows and the six 2x2 cofactors a, u, v, w,
+    x, y that the 3x3 minors of Sigma(r) share."""
+    r1, r2, r3, r4 = rows.T
     return (
+        r1,
+        r2,
+        r3,
+        r4,
         1.0 - r1 * r1,
-        _sub(r4, _mul(r1, r2, out=u), out=u),  # r4 - r1 r2
-        _sub(r2, _mul(r1, r3, out=v), out=v),  # r2 - r1 r3
-        _sub(_mul(r2, r2, out=w), _mul(r4, r3, out=tmp), out=w),  # r2 r2 - r4 r3
-        _sub(_mul(r4, r1, out=x), r2, out=x),  # r4 r1 - r2
-        _sub(_mul(r1, r2, out=y), r3, out=y),  # r1 r2 - r3
+        r4 - r1 * r2,
+        r2 - r1 * r3,
+        r2 * r2 - r4 * r3,
+        r4 * r1 - r2,
+        r1 * r2 - r3,
     )
-
-
-def _row_minors(r1, r2, r4, a, u, v, w, x, y, out=(None,) * 3, tmp=None):
-    """|M11|, |M13|, |M14| of Sigma(r) from its cofactors."""
-    o11, o13, o14 = out
-    return (
-        # a - r4 u + r2 x
-        _add(_sub(a, _mul(r4, u, out=o11), out=o11), _mul(r2, x, out=tmp), out=o11),
-        # r1 u - v + r2 w
-        _add(_sub(_mul(r1, u, out=o13), v, out=o13), _mul(r2, w, out=tmp), out=o13),
-        # r1 x - y + r4 w
-        _add(_sub(_mul(r1, x, out=o14), y, out=o14), _mul(r4, w, out=tmp), out=o14),
-    )
-
-
-def _minors(r1, r2, r3, r4, ws=None):
-    """|M11|, |M22|, |M13|, |M23|, |M14| of Sigma(r) from six shared 2x2
-    cofactors, broadcasting: bit for bit their first-row expansions.
-
-    With a workspace ws (see _partials) they go into its slots 3, 4, 0, 1
-    and 2, through its temporary slot 5 and cofactor slots 6 to 10.
-    """
-    o13, o23, o14, o11, o22, tmp, *co = [None] * 11 if ws is None else ws[:11]
-    a, u, v, w, x, y = c = _cofactors(r1, r2, r3, r4, co, tmp)
-    det11, det13, det14 = _row_minors(r1, r2, r4, *c, (o11, o13, o14), tmp)
-    # a - r2 v + r3 y
-    det22 = _add(_sub(a, _mul(r2, v, out=o22), out=o22), _mul(r3, y, out=tmp), out=o22)
-    # u - r1 v + r3 w
-    det23 = _add(_sub(u, _mul(r1, v, out=o23), out=o23), _mul(r3, w, out=tmp), out=o23)
-    return det11, det22, det13, det23, det14
 
 
 def _leading_minors(rows: np.ndarray) -> np.ndarray:
     """The (R, 3) leading principal minors of Sigma for (R, 4) rows; of the
     3x3 minors only the three of the first row are formed."""
-    r1, r2, r3, r4 = rows.T
-    a, u, v, w, x, y = c = _cofactors(r1, r2, r3, r4)
-    det11, det13, det14 = _row_minors(r1, r2, r4, *c)
+    r1, r2, r3, r4, a, u, v, w, x, y = _cofactors(rows)
+    det11 = a - r4 * u + r2 * x
+    det13 = r1 * u - v + r2 * w
+    det14 = r1 * x - y + r4 * w
     det3 = 1.0 - r4 * r4 - r1 * (r1 - r4 * r2) + r2 * x
     det12 = r1 * a - r4 * v + r2 * y
     det4 = det11 - r1 * det12 + r2 * det13 - r3 * det14
@@ -220,51 +188,60 @@ def _clamped_arcsin(arg: np.ndarray, out=None) -> np.ndarray:
     return np.arcsin(arg, out=out)
 
 
-# Workspace slots of _partials: the three arcsine arguments, which become
-# the three partials (0-2), |M11| and |M22| (3, 4), a temporary (5) and the
-# five cofactors that vary along the path (6-10).  _path_integral adds the
-# three path correlations t*r2, t*r3, t*r4 (11-13).
-_PARTIAL_SLOTS = 11
-_SLOTS = 14
+# r d/dr of the orthant probability, for r = r2, r3, r4 in turn, is
+# (k + g arcsin) / sqrt(1 - r r), the arcsine of a partial correlation, with
+# k and g r times these constants.  d/dr2 carries a doubled weight
+# because r2 occupies two symmetric entry pairs of Sigma ((1,3) and (2,4));
+# r3 and r4 occupy one pair each.
+_TERM_CONST = np.array([[1.0 / (4.0 * math.pi)], [1.0 / (8.0 * math.pi)], [1.0 / (8.0 * math.pi)]])
+_TERM_SLOPE = np.array([[-0.5], [0.25], [0.25]]) / math.pi**2
 
 
-def _partials(r1, r2, r3, r4, ws=None):
-    """The three Plackett partial derivatives, broadcasting over arrays.
+def _path_coeffs(rows: np.ndarray) -> tuple:
+    """Per-row coefficients of the integrand along t -> (r1, t r2, t r3, t r4),
+    each (..., R, 1) to broadcast against the nodes.
 
-    d/dr2 carries a doubled weight because r2 occupies two symmetric entry
-    pairs of Sigma ((1,3) and (2,4)); r3 and r4 occupy one pair each.
-
-    Every step writes into the workspace ws, of 11 or more (*shape) slots,
-    fresh if not given (shape (1,) for four scalars); the partials are its
-    first three slots.
+    Along the path the cofactors u, v, x, y scale with t and w with t^2, so
+    |M22|, |M11| = a + t^2 m and |M13|, |M23|, |M14| = t (c + t^2 s), with
+    a, u, v, w, x, y those of the row (t = 1).  Each Plackett term is
+    (k + g arcsin) / sqrt(1 - t^2 q) with q = r^2.
     """
-    if ws is None:
-        shape = np.broadcast_shapes(*(np.shape(v) for v in (r1, r2, r3, r4))) or (1,)
-        ws = np.empty((_PARTIAL_SLOTS, *shape))
-    det11, det22, det13, det23, det14 = _minors(r1, r2, r3, r4, ws)
-    tmp = ws[5]
-    # the arcsine arguments det13 / sqrt(det11 det22), det23 / det22, det14 / det11
-    _div(det13, np.sqrt(_mul(det11, det22, out=tmp), out=tmp), out=det13)
-    _div(det23, det22, out=det23)
-    _div(det14, det11, out=det14)
-    args = ws[:3]
+    r1, r2, r3, r4, a, u, v, w, x, y = _cofactors(rows)
+    r = rows.T[1:]
+    m = np.array([r3 * y - r2 * v, r2 * x - r4 * u])
+    c = np.array([r1 * u - v, u - r1 * v, r1 * x - y])
+    k, g = r * _TERM_CONST, r * _TERM_SLOPE
+    return tuple(coeff[..., None] for coeff in (a, m, c, r * w, r * r, k, g))
+
+
+def _path_terms(coeffs, t, tt, ws) -> np.ndarray:
+    """The three Plackett terms r d/dr at nodes t (tt = t t) of the path, for
+    coefficients of _path_coeffs: a (3, R, N) view of the (6, R, N) ws.
+
+    Every step writes into ws: the numerators of the three arcsine arguments
+    go into slots 0-2, which end up holding the terms, and their
+    denominators sqrt(|M11| |M22|), |M22|, |M11| into slots 3-5, which then
+    hold the square roots sqrt(1 - t^2 r^2).
+    """
+    a, m, c, s, q, k, g = coeffs
+    mul, add = np.multiply, np.add
+    num, den = ws[:3], ws[3:6]
+    mul(t, add(c, mul(tt, s, out=num), out=num), out=num)
+    add(a, mul(tt, m, out=den[1:]), out=den[1:])
+    np.sqrt(mul(den[1], den[2], out=den[0]), out=den[0])
+    args = np.divide(num, den, out=num)
     _clamped_arcsin(args, out=args)  # one clamp check for the three
-    pi = math.pi
-    # d2 = (1/4 - a2 / (2 pi)) / (pi sqrt(1 - r2 r2)); d3 and d4 add a / (2 pi)
-    # and divide by 2 pi sqrt(1 - r r)
-    for d, r, sign, scale in zip(args, (r2, r3, r4), (_sub, _add, _add), (pi, 2 * pi, 2 * pi)):
-        sign(0.25, _div(d, 2.0 * pi, out=d), out=d)
-        root = np.sqrt(_sub(1.0, _mul(r, r, out=tmp), out=tmp), out=tmp)
-        _div(d, _mul(scale, root, out=tmp), out=d)
-    return tuple(args)
+    root = np.sqrt(np.subtract(1.0, mul(tt, q, out=den), out=den), out=den)
+    return np.divide(add(k, mul(g, args, out=args), out=args), root, out=args)
 
 
 # Doubles per workspace slot: one first pass of _CHUNK rows at the default
-# 32 + 64 joined nodes, 48 kB, so the 14 slots take 672 kB.  A pass with
+# 32 + 64 joined nodes, 48 kB, so the 6 slots take 288 kB.  A pass with
 # more nodes takes fewer rows at a time (6 at 1 024 nodes).  A pass of more
 # than _SLOT_SIZE nodes, which the last doublings reach once q.nodes is
 # above 192, takes one row at a time through a fresh buffer, one per call.
 _SLOT_SIZE = 64 * 96
+_SLOTS = 6
 
 
 _kept = threading.local()
@@ -288,21 +265,19 @@ def _path_integral(r, *counts) -> list:
     holds; as every step is elementwise per row, that moves no bit either.
     """
     rows = np.atleast_2d(r)
+    coeffs = _path_coeffs(rows)
     t, weights = _nodes01(*counts)
+    tt = t * t
     size = t.size
     step = max(1, _SLOT_SIZE // size)
     flat = _workspace() if size <= _SLOT_SIZE else np.empty(_SLOTS * size)
     ends = list(itertools.accumulate(counts))
     out = [np.empty(len(rows)) for _ in counts]
     for at in range(0, len(rows), step):
-        part = rows[at : at + step]
-        ws = flat[: _SLOTS * len(part) * size].reshape(_SLOTS, len(part), size)
-        r1, r2, r3, r4 = part.T[:, :, None]
-        path = [_mul(t, v, out=slot) for v, slot in zip((r2, r3, r4), ws[11:])]
-        d2, d3, d4 = _partials(r1, *path, ws)
-        # r2 d2 + r3 d3 + r4 d4, through the slot of t*r2, no longer needed
-        f = _add(_mul(r2, d2, out=d2), _mul(r3, d3, out=path[0]), out=d2)
-        f = _add(f, _mul(r4, d4, out=path[0]), out=d2)
+        part = [coeff[..., at : at + step, :] for coeff in coeffs]
+        ws = flat[: _SLOTS * len(part[0]) * size].reshape(_SLOTS, len(part[0]), size)
+        terms = _path_terms(part, t, tt, ws)
+        f = np.add(np.add(terms[0], terms[1], out=ws[3]), terms[2], out=ws[3])
         # vecdot takes the same 1-d dot per row as w @ row; a 2-d gemv would
         # sum in another order (last bits move).
         for res, w, end in zip(out, weights, ends):
@@ -399,7 +374,9 @@ def orthant4_mc(s: OrthantSpec4, draws: int, seed: int):
     while remaining > 0:
         chunk = min(remaining, _MC_CHUNK)
         z = rng.standard_normal((chunk, 4))
-        hits += int(np.count_nonzero((z @ chol.T > 0.0).all(axis=1)))
+        # a C-contiguous (chunk, 4) bool row is four bytes, all 1 when positive
+        positive = z @ chol.T > 0.0
+        hits += int(np.count_nonzero(positive.view(np.uint32) == 0x01010101))
         remaining -= chunk
     p = hits / draws
     se = math.sqrt(max(p * (1.0 - p), 1.0 / draws) / draws)

@@ -249,6 +249,18 @@ def test_variance_table_stdout(capsys):
     assert float(by_key[(0.8, 64)]["var_c_asymptotic"]) > 0.0
 
 
+def test_variance_table_n_1_under_the_asymptotic_law(capsys):
+    # var_c is defined at n = 1, the large-n law is not: its cell stays
+    # empty and the rest of the table is still printed
+    assert main(["variance-table", "--h", "0.7,0.8", "--n", "1,128"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.split("\n")[:-1]))
+    by_key = {(float(row["h"]), int(row["n"])): row for row in rows}
+    assert len(by_key) == 4
+    assert by_key[(0.8, 1)]["var_c_asymptotic"] == ""
+    assert float(by_key[(0.8, 1)]["var_c"]) > 0.0
+    assert float(by_key[(0.8, 128)]["var_c_asymptotic"]) > 0.0
+
+
 def test_figure1_stdout(capsys):
     assert main(["figure1", "--figure1-grid-step", "0.1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -320,7 +320,7 @@ def test_replication_throughput_smoke():
 def test_proxy_builds_keep_their_memory():
     # The orthant passes write into buffers kept across calls, so their
     # temporaries are not handed back to the OS and faulted in again on
-    # every pass. In a fresh interpreter the two builds take about 270
+    # every pass. In a fresh interpreter the two builds take about 170
     # minor page faults; with a fresh allocation per pass, about 13 000.
     pytest.importorskip("resource")
     script = (

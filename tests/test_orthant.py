@@ -40,10 +40,10 @@ from zchurst.orthant import (
     PD_TOL,
     _clamped_arcsin,
     _leading_minors,
-    _minors,
     _nodes01,
-    _partials,
+    _path_coeffs,
     _path_integral,
+    _path_terms,
     _sigma,
 )
 
@@ -123,20 +123,31 @@ _CORRELATION = st.floats(-1.0, 1.0, allow_nan=False)
 _ROWS = st.lists(st.tuples(*[_CORRELATION] * 4), min_size=1, max_size=12)
 
 
+def _path_minors(rows, t):
+    """|M11|, |M22|, |M13|, |M23|, |M14| of Sigma along the path of each
+    row, at nodes t, as the integrand forms them from _path_coeffs."""
+    a, m, c, s, *_ = _path_coeffs(rows)
+    tt = t * t
+    det22, det11 = a + tt * m
+    det13, det23, det14 = t * (c + tt * s)
+    return det11, det22, det13, det23, det14
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=_ROWS, nodes=st.sampled_from([4, 8, 48]))
 def test_closed_form_minors_are_the_cofactor_expansion(rows, nodes):
     rows = np.array([r for r in rows if np.linalg.eigvalsh(_sigma(*r))[0] > 1e-9])
     assume(len(rows) > 0)
-    # the shapes _path_integral hands to _partials: r1 is (R, 1), the rest (R, N)
+    # the polynomials in t agree with the generic expansion of Sigma(path(t))
+    # within 4 ulp of 1 absolute (the worst over 3 000 random positive
+    # definite rows at 4, 8 and 48 nodes was 1.75 ulp)
     t = _nodes01(nodes)[0]
     r1, r2, r3, r4 = rows.T[:, :, None]
-    path = (r1, t * r2, t * r3, t * r4)
-    sigma = _sigma(*path)
+    sigma = _sigma(r1, t * r2, t * r3, t * r4)
     expected = [_sigma_minor(sigma, i, j) for i, j in ((1, 1), (2, 2), (1, 3), (2, 3), (1, 4))]
-    for got, want in zip(_minors(*path), expected):
+    for got, want in zip(_path_minors(rows, t), expected):
         assert got.shape == want.shape == (len(rows), nodes)
-        assert got.tobytes() == want.tobytes()
+        assert np.abs(got - want).max() <= 4 * 2.0**-52
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,25 +165,32 @@ def test_leading_minors_are_the_cofactor_expansion(rows):
     assert not accepted[smallest < -1e-9].any()
 
 
-def _leading_minors_by_five_minors(rows):
-    """The validation minors as formed before: through all five _minors."""
-    r1, r2, r3, r4 = rows.T
-    det11, _, det13, _, det14 = _minors(r1, r2, r3, r4)
-    a = 1.0 - r1 * r1
-    det3 = 1.0 - r4 * r4 - r1 * (r1 - r4 * r2) + r2 * (r1 * r4 - r2)
-    det12 = r1 * a - r4 * (r2 - r1 * r3) + r2 * (r1 * r2 - r3)
-    det4 = det11 - r1 * det12 + r2 * det13 - r3 * det14
-    return np.stack([a, det3, det4], axis=1)
-
-
-def test_leading_minors_equal_the_five_minor_route():
+def test_leading_minors_equal_the_five_minor_route(monkeypatch):
+    # the PD check and the integrand's coefficients read one set of cofactors
     rng = np.random.default_rng(11)
     rows = rng.uniform(-1.0, 1.0, size=(20_000, 4))
     rows = rows[np.linalg.eigvalsh(_sigma(*rows.T))[:, 0] > PD_TOL]
     lags = [(rho(h, 1), rho(h, k), rho(h, k + 1), rho(h, k - 1)) for h in (0.2, 0.9) for k in (2, 40)]
-    rows = np.concatenate([rows, lags, np.array(lags) * (1.0, -1.0, -1.0, -1.0)])
+    rows = np.concatenate([lags, np.array(lags) * (1.0, -1.0, -1.0, -1.0), rows])
     assert len(rows) > 1_000
-    assert _leading_minors(rows).tobytes() == _leading_minors_by_five_minors(rows).tobytes()
+    real = orthant._cofactors
+    read = []
+
+    def cofactors(batch):
+        read.append(batch.tobytes())
+        return real(batch)
+
+    monkeypatch.setattr(orthant, "_cofactors", cofactors)
+    batch = rows[: orthant._CHUNK]
+    orthant4_excess(batch)
+    assert read == [batch.tobytes()] * 2
+    # at t = 1 the integrand's polynomials give the first-row expansions
+    # that _leading_minors forms from those cofactors, within 1 ulp of 1
+    r1, r2, r3, r4, a, u, v, w, x, y = real(rows)
+    expansions = (a - r4 * u + r2 * x, r1 * u - v + r2 * w, r1 * x - y + r4 * w)
+    det11, _, det13, _, det14 = _path_minors(rows, np.ones(1))
+    for got, want in zip((det11, det13, det14), expansions):
+        assert np.abs(got[:, 0] - want).max() <= 2.0**-52
 
 
 def test_nan_correlations_are_refused():
@@ -202,8 +220,16 @@ def test_arcsin_clamp_boundary():
         _clamped_arcsin(1.1)
 
 
+def _partials(row, t):
+    """dP/dr2, dP/dr3, dP/dr4 at (r1, t r2, t r3, t r4) through the kernel's
+    integrand, whose three terms at node t are r dP/dr there."""
+    rows, t = np.array([row], dtype=float), np.array([t])
+    terms = _path_terms(_path_coeffs(rows), t, t * t, np.empty((orthant._SLOTS, 1, 1)))
+    return (terms[:, 0, 0] / rows[0, 1:]).tolist()
+
+
 def test_plackett_partials_at_origin():
-    d2, d3, d4 = _partials(0.0, 0.0, 0.0, 0.0)
+    d2, d3, d4 = _partials((0.0, 1.0, 1.0, 1.0), 0.0)
     # r2 enters Sigma twice, r3 and r4 once each
     assert abs(d2 - 1.0 / (4.0 * math.pi)) <= 1e-14
     assert abs(d3 - 1.0 / (8.0 * math.pi)) <= 1e-14
@@ -241,7 +267,7 @@ def _fd_partial_mc(r, dim, delta, draws, seed):
 def test_plackett_partials_match_finite_differences():
     delta = 0.02
     for r in ((0.3, -0.2, 0.1, 0.4), (-0.4, 0.25, -0.15, 0.2)):
-        parts = _partials(*r)
+        parts = _partials(r, 1.0)
         for dim in (1, 2, 3):
             fd, se = _fd_partial_mc(r, dim, delta, 2_000_000, seed=300 + dim)
             # 4 SE of simulation noise plus an O(delta^2) curvature allowance
@@ -295,22 +321,15 @@ def test_joined_pass_is_two_single_rule_passes(rows, nodes):
 
 
 def _path_integral_fresh(rows, *counts):
-    """The path integral as plain expressions, every step a fresh array:
-    the kernel before it kept a workspace, written out in this file."""
-    r1, r2, r3, r4 = np.atleast_2d(rows).T[:, :, None]
+    """The path integral as plain expressions, every step a fresh array."""
+    a, m, c, s, q, k, g = _path_coeffs(np.atleast_2d(rows))
     t, weights = _nodes01(*counts)
-    p2, p3, p4 = t * r2, t * r3, t * r4
-    a, u, v = 1.0 - r1 * r1, p4 - r1 * p2, p2 - r1 * p3
-    w, x, y = p2 * p2 - p4 * p3, p4 * r1 - p2, r1 * p2 - p3
-    det11, det13, det14 = a - p4 * u + p2 * x, r1 * u - v + p2 * w, r1 * x - y + p4 * w
-    det22, det23 = a - p2 * v + p3 * y, u - r1 * v + p3 * w
-    args = np.stack([det13 / np.sqrt(det11 * det22), det23 / det22, det14 / det11])
-    a2, a3, a4 = _clamped_arcsin(args)
-    pi = math.pi
-    d2 = (0.25 - a2 / (2.0 * pi)) / (pi * np.sqrt(1.0 - p2 * p2))
-    d3 = (0.25 + a3 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - p3 * p3))
-    d4 = (0.25 + a4 / (2.0 * pi)) / (2.0 * pi * np.sqrt(1.0 - p4 * p4))
-    f = r2 * d2 + r3 * d3 + r4 * d4
+    tt = t * t
+    det22, det11 = a + tt * m
+    det13, det23, det14 = t * (c + tt * s)
+    args = np.stack([det13 / np.sqrt(det22 * det11), det23 / det22, det14 / det11])
+    terms = (k + g * _clamped_arcsin(args)) / np.sqrt(1.0 - tt * q)
+    f = terms[0] + terms[1] + terms[2]
     ends = np.cumsum(counts)
     return [np.vecdot(f[:, end - w.size : end], w) for w, end in zip(weights, ends)]
 
@@ -540,3 +559,23 @@ def test_mc_reproducible():
     s = OrthantSpec4((0.3, 0.1, 0.05, 0.2))
     assert orthant4_mc(s, 200_000, seed=1) == orthant4_mc(s, 200_000, seed=1)
     assert orthant4_mc(s, 200_000, seed=1) != orthant4_mc(s, 200_000, seed=2)
+
+
+def _orthant4_mc_plain(s, draws, seed):
+    """orthant4_mc with its hits counted by all(axis=1), written out here."""
+    chol = np.linalg.cholesky(s.matrix)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    hits = 0
+    for at in range(0, draws, orthant._MC_CHUNK):
+        z = rng.standard_normal((min(draws - at, orthant._MC_CHUNK), 4))
+        hits += int(np.count_nonzero((z @ chol.T > 0.0).all(axis=1)))
+    p = hits / draws
+    return p, math.sqrt(max(p * (1.0 - p), 1.0 / draws) / draws)
+
+
+def test_mc_hit_count_is_the_all_positive_rows():
+    # the four-byte view of each row counts exactly the all-positive draws
+    for r, seed in (((0.3, 0.1, 0.05, 0.2), 1), (STRESS_R, 7), ((-0.5, 0.3, -0.2, -0.4), 29)):
+        s = OrthantSpec4(r)
+        got = orthant4_mc(s, 1_000_000, seed)
+        assert np.array(got).tobytes() == np.array(_orthant4_mc_plain(s, 1_000_000, seed)).tobytes()

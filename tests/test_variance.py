@@ -451,6 +451,17 @@ def test_var_c_approx_tracks_exact():
             assert var_c_approx(h, n, all_exact) == var_c_exact(h, n), (h, n)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: past the 250-lag cap the Taylor tail understates Var_H(c_n)",
+)
+def test_var_c_approx_tracks_exact_past_the_lag_cap():
+    # README's caveat: at n 1 023 var_c_approx is 5.1 % low at H 0.98 and
+    # 13.8 % low at H 0.99, so ZC intervals there are too narrow
+    for h in (0.98, 0.99):
+        assert abs(var_c_approx(h, 1023) / var_c_exact(h, 1023) - 1.0) <= 1e-4, h
+
+
 def test_near_one_boundary_of_the_default_quadrature():
     # the near-singular lags at H 0.99998 need more than 768 nodes (a 24-node
     # start's ceiling) but converge within the default's 32 * 32 = 1024; from
