@@ -45,8 +45,6 @@ from .orthant import (
     orthant4_mc,
 )
 from .variance import (
-    DEFAULT_VARIANCE,
-    VarianceApproxConfig,
     change_prob,
     gamma0,
     gamma1,

@@ -48,31 +48,16 @@ from .harness import (
     variance_table_rows,
     write_csv,
 )
-from .orthant import DEFAULT_QUADRATURE, QuadratureConfig
-from .variance import DEFAULT_VARIANCE, VarianceApproxConfig
 
 DEFAULT_SEED = 20240801
 
 
 @dataclasses.dataclass
 class Settings:
-    """Numerical knobs shared across subcommands."""
+    """The H-grid steps shared across subcommands."""
 
-    quad_nodes: int = DEFAULT_QUADRATURE.nodes
-    quad_abs_tol: float = DEFAULT_QUADRATURE.abs_tol
-    taylor_order: int = DEFAULT_VARIANCE.m
-    taylor_eps: float = DEFAULT_VARIANCE.eps
-    n_tilde_cap: int = DEFAULT_VARIANCE.n_tilde_cap
     proxy_grid_step: float = 0.001
     figure1_grid_step: float = 0.001
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(nodes=self.quad_nodes, abs_tol=self.quad_abs_tol)
-
-    def variance(self) -> VarianceApproxConfig:
-        return VarianceApproxConfig(
-            m=self.taylor_order, eps=self.taylor_eps, n_tilde_cap=self.n_tilde_cap
-        )
 
 
 # Each setting's value type, for the config file and its --flag.
@@ -104,6 +89,8 @@ def parse_config(path: str) -> dict:
 
 
 def resolve_settings(args) -> Settings:
+    """Defaults, then the config file, then flags.  Every command calls this,
+    also one that reads no setting, so a bad config file always exits 2."""
     settings = Settings()
     if getattr(args, "config", None):
         for key, value in parse_config(args.config).items():
@@ -154,9 +141,9 @@ def _report_lines(report):
 
 def cmd_estimate(args, out) -> int:
     values = _read_series(args.file)
-    settings = resolve_settings(args)
+    resolve_settings(args)
     if args.method == "zc":
-        report = zc_estimate(values, settings.variance(), settings.quadrature())
+        report = zc_estimate(values)
     else:
         report = heaf_estimate(values)
     if args.json:
@@ -170,9 +157,12 @@ def cmd_estimate(args, out) -> int:
 
 def _parse_list(text: str, kind, what: str):
     try:
-        return tuple(kind(tok) for tok in text.replace(",", " ").split())
+        values = tuple(kind(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise InputError(f"bad {what} list: {text!r}") from None
+    if not values:
+        raise InputError(f"empty {what} list: {text!r}")
+    return values
 
 
 def _emit(rows, columns, args, out, filename):
@@ -186,37 +176,27 @@ def _emit(rows, columns, args, out, filename):
 
 
 def cmd_variance_table(args, out) -> int:
-    settings = resolve_settings(args)
-    rows = variance_table_rows(
-        _parse_list(args.h, float, "H"),
-        _parse_list(args.n, int, "n"),
-        settings.variance(),
-        settings.quadrature(),
-    )
+    resolve_settings(args)
+    rows = variance_table_rows(_parse_list(args.h, float, "H"), _parse_list(args.n, int, "n"))
     _emit(rows, VARIANCE_TABLE_COLUMNS, args, out, "variance_table.csv")
     return 0
 
 
 def cmd_table1(args, out) -> int:
-    settings = resolve_settings(args)
-    rows = table1(q=settings.quadrature(), m=settings.taylor_order)
+    resolve_settings(args)
+    rows = table1()
     _emit(rows, TABLE1_COLUMNS, args, out, "table1.csv")
     return 0
 
 
 def cmd_figure1(args, out) -> int:
     settings = resolve_settings(args)
-    rows = figure1_data(
-        grid_step=settings.figure1_grid_step,
-        cfg=settings.variance(),
-        q=settings.quadrature(),
-    )
+    rows = figure1_data(grid_step=settings.figure1_grid_step)
     _emit(rows, FIGURE1_COLUMNS, args, out, "figure1.csv")
     return 0
 
 
 def _campaign_spec(args, hurst_grid, lengths, estimator) -> CampaignSpec:
-    settings = resolve_settings(args)
     return CampaignSpec(
         hurst_grid=hurst_grid,
         lengths=lengths,
@@ -224,9 +204,7 @@ def _campaign_spec(args, hurst_grid, lengths, estimator) -> CampaignSpec:
         base_seed=args.seed,
         estimators=(estimator,),
         workers=args.workers,
-        proxy_grid_step=settings.proxy_grid_step,
-        variance=settings.variance(),
-        quadrature=settings.quadrature(),
+        proxy_grid_step=resolve_settings(args).proxy_grid_step,
     )
 
 
@@ -279,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variance-table", help="Var_H(c_n) on an (H, n) grid")
     p.add_argument("--h", required=True, help="H values, comma or space separated")
-    p.add_argument("--n", required=True, help="lengths, comma or space separated")
+    p.add_argument("--n", required=True, help="window counts, comma or space separated")
     p.add_argument("--out", help="directory for variance_table.csv (default stdout)")
     _add_settings_flags(p)
     p.set_defaults(func=cmd_variance_table)

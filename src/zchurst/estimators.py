@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import BadLength, DomainError
 from .fbm import as_hurst
-from .orthant import DEFAULT_QUADRATURE, QuadratureConfig
 from .patterns import _finite_series, change_indicator_count
-from .variance import DEFAULT_VARIANCE, VarianceApproxConfig, change_prob, var_c_approx
+from .variance import change_prob, var_c_approx
 
 # Fixed normal quantile for the two-sided 95% interval.
 Z95 = 1.96
@@ -99,18 +98,13 @@ def zc_interval(h: float, var_c: float) -> tuple:
     return s_n, bias, max(h - half, 0.0), min(h + half, 1.0)
 
 
-def zc_estimate(
-    x,
-    cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-    var_c: Optional[Callable[[float, int], float]] = None,
-) -> EstimateReport:
+def zc_estimate(x, var_c: Optional[Callable[[float, int], float]] = None) -> EstimateReport:
     """Zero-crossing estimate with 95% interval and asymptotic diagnostics.
 
     s_n and the bias/variance diagnostics are plug-in values at H = h_hat
     (the H -> 0 boundary evaluated at H_FLOOR, and h_hat = 1 degenerating
     to a zero-width interval at 1).  Var_H(c_n) there is var_c_approx(h,
-    n, cfg, q), or var_c(h, n) when var_c is given: campaigns pass an
+    n), or var_c(h, n) when var_c is given: campaigns pass an
     interpolating table so the quadrature runs once per grid point instead
     of once per replication.  NaN or infinite values raise InputError.
     """
@@ -118,7 +112,7 @@ def zc_estimate(
     c_hat = changes / n
     h_hat = g(c_hat)
     h_eval = max(h_hat, H_FLOOR)
-    variance = var_c(h_eval, n) if var_c is not None else var_c_approx(h_eval, n, cfg, q)
+    variance = var_c(h_eval, n) if var_c is not None else var_c_approx(h_eval, n)
     s_n, bias, ci_low, ci_high = zc_interval(h_hat, variance)
     return EstimateReport(
         method="ZC",
@@ -183,26 +177,16 @@ def heaf_estimate(x) -> EstimateReport:
     )
 
 
-def asymptotic_expectation(
-    h,
-    n: int,
-    cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def asymptotic_expectation(h, n: int) -> float:
     """Large-n mean H + (1/2) g''(c(H)) Var_H(c_n) of the ZC estimator.
 
     g'' < 0, so this sits below H, hardest at H near 1 and small n.
     """
     hh = as_hurst(h)
-    return hh + zc_interval(hh, var_c_approx(hh, n, cfg, q))[1]
+    return hh + zc_interval(hh, var_c_approx(hh, n))[1]
 
 
-def asymptotic_variance(
-    h,
-    n: int,
-    cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def asymptotic_variance(h, n: int) -> float:
     """Large-n variance g'(c(H))^2 Var_H(c_n) of the ZC estimator."""
     hh = as_hurst(h)
-    return zc_interval(hh, var_c_approx(hh, n, cfg, q))[0]
+    return zc_interval(hh, var_c_approx(hh, n))[0]

@@ -36,14 +36,7 @@ from .estimators import (
     zc_interval,
 )
 from .fbm import as_hurst, synthesize
-from .orthant import DEFAULT_QUADRATURE, QuadratureConfig
-from .variance import (
-    DEFAULT_VARIANCE,
-    VarianceApproxConfig,
-    k_threshold,
-    var_c_approx,
-    var_c_asymptotic,
-)
+from .variance import k_threshold, var_c_approx, var_c_asymptotic
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -87,19 +80,13 @@ class VarianceProxy:
     f_grid: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(
-        cls,
-        n: int,
-        grid_step: float = 0.001,
-        cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
-        q: QuadratureConfig = DEFAULT_QUADRATURE,
-    ) -> "VarianceProxy":
+    def build(cls, n: int, grid_step: float = 0.001) -> "VarianceProxy":
         if not 0.0 < grid_step <= 0.1:
             raise DomainError(f"grid_step must be in (0, 0.1], got {grid_step}")
         steps = round(1.0 / grid_step)
         interior = np.linspace(0.0, 1.0, steps + 1)[1:-1]
         h_grid = np.concatenate(([H_FLOOR], interior, [1.0]))
-        f_grid = n * var_c_approx(h_grid, n, cfg, q)
+        f_grid = n * var_c_approx(h_grid, n)
         h_grid.setflags(write=False)
         f_grid.setflags(write=False)
         return cls(n=n, h_grid=h_grid, f_grid=f_grid)
@@ -112,7 +99,7 @@ class VarianceProxy:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Grid, replication count, seed, and knobs for one campaign."""
+    """Grid, replication count, seed, workers and proxy grid for one campaign."""
 
     hurst_grid: tuple
     lengths: tuple
@@ -121,8 +108,6 @@ class CampaignSpec:
     estimators: tuple = (ZC, HEAF)
     workers: int = 1
     proxy_grid_step: float = 0.001
-    variance: VarianceApproxConfig = DEFAULT_VARIANCE
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if not self.hurst_grid or not self.lengths:
@@ -236,10 +221,7 @@ def build_proxies(spec: CampaignSpec) -> dict:
     proxies = {}
     if ZC in spec.estimators:
         for n in sorted(spec.lengths):
-            windows = n - 1
-            proxies[n] = VarianceProxy.build(
-                windows, spec.proxy_grid_step, spec.variance, spec.quadrature
-            )
+            proxies[n] = VarianceProxy.build(n - 1, spec.proxy_grid_step)
     return proxies
 
 
@@ -301,20 +283,14 @@ TABLE23_LENGTHS = (128, 1024, 8192)
 DEFAULT_REPLICATIONS = 5000
 
 
-def table1(
-    eps_list=DEFAULT_TABLE1_EPS,
-    hurst_grid=DEFAULT_TABLE1_GRID,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-    m: int = 3,
-    k_max: int = 100_000,
-):
-    """Threshold lags k at which the order-m Taylor form reaches accuracy eps.
+def table1(eps_list=DEFAULT_TABLE1_EPS, hurst_grid=DEFAULT_TABLE1_GRID, k_max: int = 100_000):
+    """Threshold lags k at which the order-3 Taylor form reaches accuracy eps.
 
     Returns one row dict per (h, eps); a capped search is annotated rather
     than raised so the table stays rectangular.  Each eps column is one
     k_threshold search over the whole grid.
     """
-    columns = [k_threshold(np.asarray(hurst_grid), m, eps, q, k_max).tolist() for eps in eps_list]
+    columns = [k_threshold(np.asarray(hurst_grid), 3, eps, k_max).tolist() for eps in eps_list]
     rows = []
     for h, ks in zip(hurst_grid, zip(*columns)):
         for eps, k in zip(eps_list, ks):
@@ -323,12 +299,7 @@ def table1(
     return rows
 
 
-def figure1_data(
-    n_list=TABLE23_LENGTHS,
-    grid_step: float = 0.001,
-    cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-):
+def figure1_data(n_list=TABLE23_LENGTHS, grid_step: float = 0.001):
     """Interval bounds and asymptotic bias/variance on an H grid, per n.
 
     The interval columns answer "given the estimate x, what interval would
@@ -338,7 +309,7 @@ def figure1_data(
     rows = []
     for n in n_list:
         windows = int(n) - 1
-        proxy = VarianceProxy.build(windows, grid_step, cfg, q)
+        proxy = VarianceProxy.build(windows, grid_step)
         for h, f_val in zip(proxy.h_grid, proxy.f_grid):
             h = float(h)
             s_n, bias, ci_low, ci_high = zc_interval(h, f_val / windows)
@@ -470,14 +441,12 @@ def _cell_rows(result: CampaignResult, estimator: str):
 
 def table2_rows(result: CampaignResult):
     """Simulated ZC moments next to the deterministic asymptotic columns."""
-    spec = result.spec
     rows = []
     for row, cell in _cell_rows(result, ZC):
         # The asymptotic columns are evaluated at the nominal length n,
         # matching how the reference table labels them.
-        at = (row["h"], row["n"], spec.variance, spec.quadrature)
-        row["asymptotic_expectation"] = asymptotic_expectation(*at)
-        row["asymptotic_variance"] = asymptotic_variance(*at)
+        row["asymptotic_expectation"] = asymptotic_expectation(row["h"], row["n"])
+        row["asymptotic_variance"] = asymptotic_variance(row["h"], row["n"])
         row["coverage"] = cell.coverage
         rows.append(row)
     return rows
@@ -487,12 +456,7 @@ def table3_rows(result: CampaignResult):
     return [row for row, _ in _cell_rows(result, HEAF)]
 
 
-def variance_table_rows(
-    h_list,
-    n_list,
-    cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-):
+def variance_table_rows(h_list, n_list):
     """Var_H(c_n), f_n, and (where defined: H >= 3/4, n >= 2) the
     asymptotic law."""
     rows = []
@@ -500,7 +464,7 @@ def variance_table_rows(
         hh = as_hurst(h)
         for n in n_list:
             n = int(n)
-            var_c = var_c_approx(hh, n, cfg, q)
+            var_c = var_c_approx(hh, n)
             rows.append(
                 {
                     "h": hh,

@@ -15,13 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapReached, DomainError, NumericalError, UnsupportedOrder
 from .fbm import _rho_spans, as_hurst, rho
-from .orthant import DEFAULT_QUADRATURE, QuadratureConfig, orthant4_excess
+from .orthant import orthant4_excess
 
 _TWO_PI = 2.0 * math.pi
 _PI_SQ = math.pi * math.pi
@@ -43,23 +42,12 @@ def _check_order(m: int) -> None:
         raise UnsupportedOrder(f"derivatives beyond order 6 are not implemented (m={m})")
 
 
-@dataclass(frozen=True)
-class VarianceApproxConfig:
-    """Knobs for the exact-head/Taylor-tail split in var_c_approx."""
-
-    m: int = 3
-    eps: float = 0.01
-    n_tilde_cap: int = 250
-
-    def __post_init__(self):
-        _check_order(self.m)
-        if not self.eps > 0:
-            raise DomainError(f"eps must be positive, got {self.eps}")
-        if self.n_tilde_cap < 2:
-            raise DomainError(f"n_tilde_cap must be >= 2, got {self.n_tilde_cap}")
-
-
-DEFAULT_VARIANCE = VarianceApproxConfig()
+# var_c_approx's one rule: exact lags up to the order-3 Taylor threshold at
+# relative error 0.01, but never past lag 250, then the Taylor form.  Read
+# at call time.
+_TAYLOR_ORDER = 3
+_TAYLOR_EPS = 0.01
+_N_TILDE_CAP = 250
 
 
 def change_prob(h) -> float:
@@ -81,8 +69,8 @@ def gamma1(h) -> float:
 
 
 @functools.lru_cache(maxsize=2048)
-def _gamma_memo(hh: float, q: QuadratureConfig) -> dict:
-    """The {k: gamma_exact} memo of one (H, quadrature); idempotent writes.
+def _gamma_memo(hh: float) -> dict:
+    """The {k: gamma_exact} memo of one H; idempotent writes.
 
     figure1 and the proxy grids revisit about a thousand H values once per
     length, so maxsize stays well above that.
@@ -90,7 +78,7 @@ def _gamma_memo(hh: float, q: QuadratureConfig) -> dict:
     return {}
 
 
-def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
+def gamma_exact(h, k):
     """gamma_H(k) for k >= 2 via two orthant4 evaluations.
 
     The orthant vectors are (rho_1, s*rho_k, s*rho_{k+1}, s*rho_{k-1}) for
@@ -113,18 +101,18 @@ def gamma_exact(h, k, q: QuadratureConfig = DEFAULT_QUADRATURE):
     # runs of one H, the shape of k_threshold's blocks and of one-H calls
     ends = [*(np.flatnonzero(hs[1:] != hs[:-1]) + 1).tolist(), len(hs)]
     runs = [(float(hs[a]), ks[a:b].tolist()) for a, b in zip([0, *ends], ends) if b > a]
-    values = _gamma_runs(runs, q)
+    values = _gamma_runs(runs)
     return float(values[0]) if np.ndim(h) == 0 and np.ndim(k) == 0 else values
 
 
-def _gamma_runs(runs: list, q: QuadratureConfig) -> np.ndarray:
+def _gamma_runs(runs: list) -> np.ndarray:
     """gamma_exact of each (H, lags) run, joined in order."""
     hurst = [as_hurst(hh) for hh, _ in runs]
     lowest = min((min(ks) for _, ks in runs), default=2)
     if lowest < 2:
         raise DomainError(f"gamma_exact needs k >= 2, got {lowest}")
     # gamma vanishes identically at H 1/2 and 1: no memo, no orthant rows
-    memos = {hh: _gamma_memo(hh, q) for hh in hurst if hh not in (0.5, 1.0)}
+    memos = {hh: _gamma_memo(hh) for hh in hurst if hh not in (0.5, 1.0)}
     missing = {hh: {} for hh in memos}  # H -> its distinct missing lags, in order
     for hh, (_, ks) in zip(hurst, runs):
         if hh in memos:
@@ -133,14 +121,14 @@ def _gamma_runs(runs: list, q: QuadratureConfig) -> np.ndarray:
     if todo:
         rows = _orthant_rows(todo)
         try:
-            plus, minus = (orthant4_excess(x, q) for x in (rows, rows * (1.0, -1.0, -1.0, -1.0)))
+            plus, minus = (orthant4_excess(x) for x in (rows, rows * (1.0, -1.0, -1.0, -1.0)))
         except NumericalError:
             if len(rows) == 1:
                 raise
             # H by H, then lag by lag: each part fills the memos or raises
             parts = todo if len(todo) > 1 else [(todo[0][0], [v]) for v in todo[0][1]]
             for part in parts:
-                _gamma_runs([part], q)
+                _gamma_runs([part])
         else:
             values = iter((2.0 * (plus + minus)).tolist())
             for hh, misses in todo:
@@ -204,13 +192,7 @@ def _taylor_series(hh, k, coeffs):
     return total
 
 
-def k_threshold(
-    h,
-    m: int,
-    eps: float,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-    k_max: int = 100_000,
-):
+def k_threshold(h, m: int, eps: float, k_max: int = 100_000):
     """Least k >= 2 with |gamma_taylor - gamma_exact| / gamma_exact < eps.
 
     h is one H, giving an int and raising CapReached past k_max (the H -> 1
@@ -229,7 +211,7 @@ def k_threshold(
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     _check_order(m)  # before searching, also for an empty grid
-    found = _search(hs, [_taylor_coeffs(hh, m) for hh in hs], eps, q, k_max, 2, _BLOCK)
+    found = _search(hs, [_taylor_coeffs(hh, m) for hh in hs], eps, k_max, 2, _BLOCK)
     if np.ndim(h):
         return np.array(found, dtype=int)
     if found[0] > k_max:
@@ -268,7 +250,7 @@ def _first_hits(hs, coeffs, ks, exact, eps) -> list:
     return [int(ks[j]) if hits[i, j] else None for i, j in enumerate(first)]
 
 
-def _search(hs, coeffs, eps, q, k_max, start, size) -> list:
+def _search(hs, coeffs, eps, k_max, start, size) -> list:
     """k_threshold's scan of each H in hs (with its (m,) Taylor coeffs) from
     lag start, in blocks from size on: its threshold, or k_max + 1."""
     found = [k_max + 1] * len(hs)
@@ -277,13 +259,13 @@ def _search(hs, coeffs, eps, q, k_max, start, size) -> list:
         ks = np.arange(start, min(start + size, k_max + 1))
         try:
             grid = np.repeat([hs[i] for i in live], ks.size)
-            exact = gamma_exact(grid, np.tile(ks, len(live)), q).reshape(len(live), -1)
+            exact = gamma_exact(grid, np.tile(ks, len(live))).reshape(len(live), -1)
         except NumericalError:
             if len(live) > 1:
                 # Every pending H alone, in grid order: the first H that
                 # fails alone raises, as in a loop of one-H calls.
                 for i in live:
-                    found[i] = _search([hs[i]], [coeffs[i]], eps, q, k_max, start, size)[0]
+                    found[i] = _search([hs[i]], [coeffs[i]], eps, k_max, start, size)[0]
                 return found
             exact = None
         if len(live) == 1:
@@ -291,7 +273,7 @@ def _search(hs, coeffs, eps, q, k_max, start, size) -> list:
             # costs less than the array test; after a failed block lazily,
             # as the failing lag may lie past the threshold.
             hh, ch, lags = hs[live[0]], coeffs[live[0]], ks.tolist()
-            row = exact[0].tolist() if exact is not None else (gamma_exact(hh, k, q) for k in lags)
+            row = exact[0].tolist() if exact is not None else (gamma_exact(hh, k) for k in lags)
             hits = [_scalar_hit(hh, ch, lags, row, eps)]
         else:
             hits = _first_hits(
@@ -313,11 +295,11 @@ def _search(hs, coeffs, eps, q, k_max, start, size) -> list:
 _TAIL_CELLS = 8192
 
 
-def _var_c(hs: list, n: int, n_tilde: list, m: int, q: QuadratureConfig) -> list:
+def _var_c(hs: list, n: int, n_tilde: list) -> list:
     """(n gamma(0) + 2 sum_{k=1}^{n-1} (n-k) gamma(k)) / n^2 for each H of hs.
 
     Lags below that H's n_tilde are exact, read for every H in one
-    gamma_exact call; from n_tilde on the order-m Taylor form.  Each value
+    gamma_exact call; from n_tilde on the order-_TAYLOR_ORDER Taylor form.  Each value
     is bit for bit a one-H sum.
     """
     if n < 1:
@@ -327,7 +309,7 @@ def _var_c(hs: list, n: int, n_tilde: list, m: int, q: QuadratureConfig) -> list
     counts = [0 if hh == 1.0 else max(top - 2, 0) for hh, top in zip(hs, tops)]
     starts = list(itertools.accumulate([0, *counts]))[:-1]
     ks = np.arange(sum(counts)) - np.repeat(np.subtract(starts, 2), counts)  # 2, 3, ... per H
-    terms = gamma_exact(np.repeat(hs, counts), ks, q)
+    terms = gamma_exact(np.repeat(hs, counts), ks)
     terms *= n - ks  # (n - k) gamma(k)
     values = []
     for hh, start, count in zip(hs, starts, counts):
@@ -349,7 +331,7 @@ def _var_c(hs: list, n: int, n_tilde: list, m: int, q: QuadratureConfig) -> list
         for at in range(0, len(rows), step):
             part = rows[at : at + step]
             h = np.array([[hs[i]] for i in part])
-            coeffs = np.array([_taylor_coeffs(hs[i], m) for i in part]).T[:, :, None]
+            coeffs = np.array([_taylor_coeffs(hs[i], _TAYLOR_ORDER) for i in part]).T[:, :, None]
             sums = np.sum((n - tail) * _taylor_series(h, tail, coeffs), axis=-1)
             for i, tail_sum in zip(part, sums.tolist()):
                 values[i] += tail_sum
@@ -359,22 +341,17 @@ def _var_c(hs: list, n: int, n_tilde: list, m: int, q: QuadratureConfig) -> list
     ]
 
 
-def var_c_exact(h, n: int, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def var_c_exact(h, n: int) -> float:
     """Var_H(c_n) with every lag evaluated exactly; intended for n <= ~2000."""
-    return _var_c([as_hurst(h)], n, [n], 3, q)[0]
+    return _var_c([as_hurst(h)], n, [n])[0]
 
 
-def var_c_approx(
-    h,
-    n: int,
-    cfg: VarianceApproxConfig = DEFAULT_VARIANCE,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-):
+def var_c_approx(h, n: int):
     """Var_H(c_n) with the exact head / Taylor tail split at the n_tilde rule.
 
-    n_tilde = min(k_threshold(h, m, eps), n_tilde_cap, n); the capped search
-    never scans lags the cap would discard anyway, and there is no search at
-    H in {1/2, 1}, where gamma vanishes identically.
+    n_tilde = min(k_threshold(h, _TAYLOR_ORDER, _TAYLOR_EPS), _N_TILDE_CAP,
+    n); the capped search never scans lags the cap would discard anyway, and
+    there is no search at H in {1/2, 1}, where gamma vanishes identically.
 
     h is one H, giving a float, or a 1-d array of H, giving an array equal
     bit for bit to one call per H.  One k_threshold call searches every H,
@@ -382,13 +359,13 @@ def var_c_approx(
     H with the same n_tilde are formed together and summed row by row.
     """
     hs = [as_hurst(v) for v in np.atleast_1d(h).tolist()]
-    cap = min(cfg.n_tilde_cap, n)
+    cap = min(_N_TILDE_CAP, n)
     n_tilde = dict.fromkeys(hs, cap)
     searched = [hh for hh in n_tilde if hh not in (0.5, 1.0)] if n > 2 else []
     if searched:
-        found = k_threshold(np.array(searched), cfg.m, cfg.eps, q, k_max=cap)
+        found = k_threshold(np.array(searched), _TAYLOR_ORDER, _TAYLOR_EPS, k_max=cap)
         n_tilde.update(zip(searched, np.minimum(found, cap).tolist()))
-    values = _var_c(hs, n, [n_tilde[hh] for hh in hs], cfg.m, q)
+    values = _var_c(hs, n, [n_tilde[hh] for hh in hs])
     return values[0] if np.ndim(h) == 0 else np.array(values)
 
 

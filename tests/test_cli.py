@@ -14,12 +14,10 @@ import types
 import pytest
 
 import zchurst
-from zchurst import cli, harness, synthesize, zc_estimate
-from zchurst.cli import build_parser, main, parse_config, resolve_settings
+from zchurst import cli, harness, orthant, synthesize, variance, zc_estimate
+from zchurst.cli import Settings, build_parser, main, parse_config, resolve_settings
 from zchurst.errors import InputError
 from zchurst.harness import FIGURE3_SUMMARY_COLUMNS, VARIANCE_TABLE_COLUMNS
-from zchurst.orthant import QuadratureConfig
-from zchurst.variance import VarianceApproxConfig
 
 from benchmarks import TABLE1_H_GRID, TABLE1_K_EPS_01, TABLE1_K_EPS_001
 
@@ -106,19 +104,17 @@ def test_series_reader_refusals(tmp_path, capsys, method, text, err):
     assert captured.err == "error: " + err.format(f=f) + "\n"
 
 
-def test_parser_is_built_once_and_keeps_no_settings(series_file, tmp_path, capsys):
+def test_parser_is_built_once_and_keeps_no_settings(tmp_path, capsys):
     assert build_parser() is build_parser()
-    f, values = series_file
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("taylor_eps=0.5\n")
-    argv = ["estimate", str(f), "--json"]
-    assert main(argv + ["--quad-nodes", "8", "--config", str(cfg)]) == 0
-    tuned = json.loads(capsys.readouterr().out)
-    assert main(argv) == 0
-    plain = json.loads(capsys.readouterr().out)
-    assert plain == dataclasses.asdict(zc_estimate(values))
-    # the tuned call did read its settings, so a leak would have shown
-    assert tuned != plain
+    cfg.write_text("figure1_grid_step=0.05\n")
+    # the flag's step, then the config file's alone, then the default:
+    # 11, 21 and 1001 rows per length, so a leaked flag or key would show
+    assert main(["figure1", "--config", str(cfg), "--figure1-grid-step", "0.1"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 3 * 11
+    assert main(["figure1", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 3 * 21
+    assert resolve_settings(build_parser().parse_args(["figure1"])) == Settings()
 
 
 def test_cold_process_matches_in_process(series_file, capsys):
@@ -152,11 +148,22 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         assert main(["estimate", str(gap), "--method", method]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    # a misspelt key, and the quadrature and Taylor settings, which are fixed
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("quod_nodes=16\n")
-    assert main(["estimate", str(bad), "--config", str(cfg)]) == 2
+    capsys.readouterr()
+    removed = ("quad_nodes", "quad_abs_tol", "taylor_order", "taylor_eps", "n_tilde_cap")
+    for key in ("proxy_grid_stap",) + removed:
+        cfg.write_text(f"{key}=1\n")
+        assert main(["variance-table", "--h", "0.6", "--n", "4", "--config", str(cfg)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     assert main(["variance-table", "--h", "0.5,x", "--n", "16"]) == 2
+    capsys.readouterr()
+    # an empty grid is refused, not printed as a header with no rows
+    for h, n in (("", "128"), ("0.7", ","), (" , ", "16"), ("0.7", "")):
+        assert main(["variance-table", "--h", h, "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: empty")
     # out-of-domain H is an input problem, not a crash
     assert main(["variance-table", "--h", "1.2", "--n", "16"]) == 2
     # a repeated grid value would overwrite a campaign cell
@@ -164,76 +171,69 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert "repeats" in capsys.readouterr().err
 
 
-def test_exit_code_3_on_numerical_failure(capsys):
+def test_exit_code_3_on_numerical_failure(monkeypatch, capsys):
     # at H=0.999 the lag-2 Sigma is nearly singular (smallest eigenvalue about
     # 2e-3), so the path integrand is sharply peaked: starting from 4 nodes,
     # the last doubling allowed (64 -> 128) still moves the excess by about
     # 7e-9, orders of magnitude above the tolerance and above rounding
-    tol = 1e-12
-    code = main(
-        [
-            "variance-table",
-            "--h",
-            "0.999",
-            "--n",
-            "64",
-            "--quad-nodes",
-            "4",
-            "--quad-abs-tol",
-            repr(tol),
-        ]
-    )
+    tight = orthant.QuadratureConfig(nodes=4, abs_tol=1e-12)
+    real = variance.orthant4_excess
+    monkeypatch.setattr(variance, "orthant4_excess", lambda rows: real(rows, tight))
+    variance._gamma_memo.cache_clear()
+    code = main(["variance-table", "--h", "0.999", "--n", "64"])
+    variance._gamma_memo.cache_clear()
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     # the message reports the disagreement that was actually seen
     moved = float(re.search(r"moved orthant4 by (\S+) >", err).group(1))
-    assert moved > tol
+    assert moved > tight.abs_tol
 
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "quad_nodes=16\n"
-        "taylor_eps = 0.5  # inline comment\n"
+        "# steps\n"
+        "figure1_grid_step = 0.02  # inline comment\n"
         "\n"
         "proxy_grid_step=0.05\n"
     )
     assert parse_config(str(cfg)) == {
-        "quad_nodes": 16,
-        "taylor_eps": 0.5,
+        "figure1_grid_step": 0.02,
         "proxy_grid_step": 0.05,
     }
     cfg.write_text("just a line\n")
     with pytest.raises(InputError):
         parse_config(str(cfg))
-    cfg.write_text("quad_nodes=abc\n")
+    cfg.write_text("proxy_grid_step=abc\n")
     with pytest.raises(InputError):
         parse_config(str(cfg))
 
 
 def test_settings_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("quad_nodes=16\ntaylor_eps=0.5\n")
+    cfg.write_text("proxy_grid_step=0.05\nfigure1_grid_step=0.02\n")
     args = build_parser().parse_args(
-        [
-            "variance-table",
-            "--h",
-            "0.5",
-            "--n",
-            "16",
-            "--config",
-            str(cfg),
-            "--quad-nodes",
-            "40",
-        ]
+        ["figure1", "--config", str(cfg), "--proxy-grid-step", "0.1"]
     )
-    settings = resolve_settings(args)
-    # flag beats config beats default; 40 is neither the config's value nor
+    # flag beats config beats default; 0.1 is neither the config's value nor
     # the default, so the assertion fails if either layer wins
-    assert settings.quad_nodes == 40
-    assert settings.taylor_eps == 0.5
-    assert settings.n_tilde_cap == 250
+    assert resolve_settings(args) == Settings(proxy_grid_step=0.1, figure1_grid_step=0.02)
+    args = build_parser().parse_args(["figure1", "--proxy-grid-step", "0.1"])
+    assert resolve_settings(args) == Settings(proxy_grid_step=0.1)
+
+
+DOCS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs")
+
+
+def test_configuration_doc_lists_the_settings(tmp_path):
+    with open(os.path.join(DOCS, "configuration.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    keys = text.split("\n## Keys\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", keys, flags=re.M) == list(cli._SETTING_TYPES)
+    example = tmp_path / "example.cfg"
+    example.write_text(re.search(r"^```\n(.*?)^```$", text, flags=re.M | re.S).group(1))
+    assert parse_config(str(example))
 
 
 def test_variance_table_stdout(capsys):
@@ -308,18 +308,7 @@ def test_campaign_commands_pass_settings_to_the_spec(monkeypatch):
     # figure3 reaches the campaign through the harness, reproduce directly
     monkeypatch.setattr(harness, "run_campaign", capture)
     monkeypatch.setattr(cli, "run_campaign", capture)
-    flags = [
-        "--quad-nodes",
-        "64",
-        "--taylor-order",
-        "2",
-        "--taylor-eps",
-        "0.02",
-        "--n-tilde-cap",
-        "100",
-        "--proxy-grid-step",
-        "0.05",
-    ]
+    flags = ["--proxy-grid-step", "0.05"]
     for argv in (
         ["figure3", "--n", "128", "--replications", "1000"],
         ["reproduce", "--table", "2", "--replications", "10"],
@@ -328,8 +317,6 @@ def test_campaign_commands_pass_settings_to_the_spec(monkeypatch):
             main(argv + flags)
     assert len(seen) == 2
     for spec in seen:
-        assert spec.variance == VarianceApproxConfig(m=2, eps=0.02, n_tilde_cap=100)
-        assert spec.quadrature == QuadratureConfig(nodes=64)
         assert spec.proxy_grid_step == 0.05
 
 
@@ -377,7 +364,7 @@ PUBLIC_SURFACE = set(
     p_bar p_hat pattern_class pattern_of_values
     DEFAULT_QUADRATURE OrthantSpec4 QuadratureConfig orthant2 orthant4 orthant4_excess
     orthant4_mc
-    DEFAULT_VARIANCE VarianceApproxConfig change_prob gamma0 gamma1 gamma_exact gamma_taylor
+    change_prob gamma0 gamma1 gamma_exact gamma_taylor
     k_threshold var_c_approx var_c_asymptotic var_c_exact
     EstimateReport asymptotic_expectation asymptotic_variance g g_prime g_second
     heaf_estimate heaf_transform zc_estimate

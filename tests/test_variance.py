@@ -21,7 +21,6 @@ from zchurst import (
     NotPositiveDefinite,
     QuadratureNotConverged,
     UnsupportedOrder,
-    VarianceApproxConfig,
     change_indicator_count,
     change_prob,
     gamma0,
@@ -250,9 +249,9 @@ def test_k_threshold_blocks_double_up_to_the_cap(monkeypatch):
     real = variance.gamma_exact
     blocks = []
 
-    def gamma(h, k, q):
+    def gamma(h, k):
         blocks.append((int(k[0]), int(k[-1])))
-        return real(h, k, q)
+        return real(h, k)
 
     monkeypatch.setattr(variance, "gamma_exact", gamma)
     with pytest.raises(CapReached):
@@ -269,11 +268,11 @@ def fail_rows(monkeypatch):
     def fail(**labelled_r2):
         """Make orthant4_excess raise, naming the label, on rows with that r2."""
 
-        def excess(rows, q):
+        def excess(rows):
             for label, r2 in labelled_r2.items():
                 if np.any(rows[:, 1] == r2):
                     raise QuadratureNotConverged(label)
-            return real(rows, q)
+            return real(rows)
 
         monkeypatch.setattr(variance, "orthant4_excess", excess)
 
@@ -336,13 +335,13 @@ def test_grid_blocks_are_one_gamma_exact_call(monkeypatch):
     real_gamma, real_excess = variance.gamma_exact, variance.orthant4_excess
     calls, excess_calls = [], []
 
-    def gamma(h, k, q):
+    def gamma(h, k):
         calls.append(sorted(set(np.atleast_1d(h).tolist())))
-        return real_gamma(h, k, q)
+        return real_gamma(h, k)
 
-    def excess(rows, q):
+    def excess(rows):
         excess_calls.append(len(rows))
-        return real_excess(rows, q)
+        return real_excess(rows)
 
     monkeypatch.setattr(variance, "gamma_exact", gamma)
     monkeypatch.setattr(variance, "orthant4_excess", excess)
@@ -353,7 +352,7 @@ def test_grid_blocks_are_one_gamma_exact_call(monkeypatch):
     assert excess_calls == [48, 48, 96, 96, 64, 64]
 
 
-def test_grid_raises_the_error_of_the_first_failing_h(fail_rows):
+def test_grid_raises_the_error_of_the_first_failing_h(fail_rows, monkeypatch):
     with pytest.raises(NotPositiveDefinite) as alone:
         var_c_approx(0.99999, 64)
     with pytest.raises(NotPositiveDefinite, match=re.escape(str(alone.value))):
@@ -362,10 +361,10 @@ def test_grid_raises_the_error_of_the_first_failing_h(fail_rows):
     # fails first in the grid (block 2..17), H 0.05 later (block 50..113),
     # and a loop of one-H calls meets H 0.05's failure first
     fail_rows(earlier=rho(0.05, 52), later=rho(0.3, 4))
-    cfg = VarianceApproxConfig(eps=1e-3)
+    monkeypatch.setattr(variance, "_TAYLOR_EPS", 1e-3)
     for call in (
-        lambda: [var_c_approx(h, 1000, cfg) for h in (0.05, 0.3, 0.7)],
-        lambda: var_c_approx(np.array([0.05, 0.3, 0.7]), 1000, cfg),
+        lambda: [var_c_approx(h, 1000) for h in (0.05, 0.3, 0.7)],
+        lambda: var_c_approx(np.array([0.05, 0.3, 0.7]), 1000),
         lambda: k_threshold(np.array([0.05, 0.3, 0.7]), 3, 1e-3),
     ):
         variance._gamma_memo.cache_clear()
@@ -434,21 +433,23 @@ def test_var_c_exact_against_simulation():
     assert abs(empirical / var_c_exact(0.7, 256) - 1.0) <= 0.10
 
 
-def test_var_c_approx_tracks_exact():
+def test_var_c_approx_tracks_exact(monkeypatch):
     assert abs(var_c_approx(0.65, 1024) / var_c_exact(0.65, 1024) - 1.0) <= 0.005
     assert abs(var_c_approx(0.7, 256) / var_c_exact(0.7, 256) - 1.0) <= 0.005
     for n in (10, 100, 1000):
         assert var_c_approx(0.5, n) == 0.25 / n
     assert var_c_approx(1.0, 64) == 0.0
     # a tiny lag cap still produces something finite and positive
-    small_cap = VarianceApproxConfig(m=3, eps=0.01, n_tilde_cap=10)
-    v = var_c_approx(0.85, 4096, small_cap)
+    with monkeypatch.context() as patch:
+        patch.setattr(variance, "_N_TILDE_CAP", 10)
+        v = var_c_approx(0.85, 4096)
     assert 0.0 < v < 1.0
     # with no lag accurate enough for the Taylor tail, every lag is exact
+    monkeypatch.setattr(variance, "_TAYLOR_EPS", 1e-300)
     for h in (0.3, 0.5, 0.7):
         for n in (1, 2, 3, 64):
-            all_exact = VarianceApproxConfig(m=3, eps=1e-300, n_tilde_cap=max(n, 2))
-            assert var_c_approx(h, n, all_exact) == var_c_exact(h, n), (h, n)
+            monkeypatch.setattr(variance, "_N_TILDE_CAP", max(n, 2))
+            assert var_c_approx(h, n) == var_c_exact(h, n), (h, n)
 
 
 @pytest.mark.xfail(
@@ -472,15 +473,15 @@ def test_near_one_boundary_of_the_default_quadrature():
         var_c_approx(0.99999, 64)
 
 
-def test_variance_config_validation():
-    with pytest.raises(DomainError):
-        VarianceApproxConfig(m=0)
-    with pytest.raises(DomainError):
-        VarianceApproxConfig(m=3, eps=0.0)
-    with pytest.raises(DomainError):
-        VarianceApproxConfig(m=3, eps=0.01, n_tilde_cap=1)
-    with pytest.raises(UnsupportedOrder):
-        VarianceApproxConfig(m=4)
+def test_k_threshold_argument_validation():
+    # refused before any lag is scanned, also for an empty grid
+    for h in (0.7, np.array([])):
+        with pytest.raises(DomainError):
+            k_threshold(h, 0, 0.01)
+        with pytest.raises(DomainError):
+            k_threshold(h, 3, 0.0)
+        with pytest.raises(UnsupportedOrder):
+            k_threshold(h, 4, 0.01)
 
 
 def test_var_c_asymptotic_domain_and_boundary():
