@@ -36,9 +36,7 @@ from .patterns import (
     pattern_of_values,
 )
 from .orthant import (
-    DEFAULT_QUADRATURE,
     OrthantSpec4,
-    QuadratureConfig,
     orthant2,
     orthant4,
     orthant4_excess,

@@ -67,6 +67,11 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return x
 
 
+def _check_grid_step(grid_step: float) -> None:
+    if not 0.0 < grid_step <= 0.1:  # also NaN
+        raise DomainError(f"grid_step must be in (0, 0.1], got {grid_step}")
+
+
 @dataclass(frozen=True)
 class VarianceProxy:
     """n * Var_H(c_n) tabulated on an H grid, linearly interpolated.
@@ -81,8 +86,7 @@ class VarianceProxy:
 
     @classmethod
     def build(cls, n: int, grid_step: float = 0.001) -> "VarianceProxy":
-        if not 0.0 < grid_step <= 0.1:
-            raise DomainError(f"grid_step must be in (0, 0.1], got {grid_step}")
+        _check_grid_step(grid_step)
         steps = round(1.0 / grid_step)
         interior = np.linspace(0.0, 1.0, steps + 1)[1:-1]
         h_grid = np.concatenate(([H_FLOOR], interior, [1.0]))
@@ -119,6 +123,7 @@ class CampaignSpec:
         unknown = set(self.estimators) - {ZC, HEAF}
         if unknown:
             raise DomainError(f"unknown estimators: {sorted(unknown)}")
+        _check_grid_step(self.proxy_grid_step)  # also where ZC, and so the proxy, does not run
         object.__setattr__(self, "hurst_grid", tuple(as_hurst(h) for h in self.hurst_grid))
         object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
         if any(n < 3 for n in self.lengths):

@@ -109,23 +109,6 @@ class OrthantSpec4:
         return _sigma(*self.r)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Gauss-Legendre settings for the path integral on [0, 1]."""
-
-    nodes: int = 32
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.nodes < 4:
-            raise DomainError(f"need at least 4 quadrature nodes, got {self.nodes}")
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
 def _gauss_legendre01(n: int):
     """The n-node Gauss-Legendre rule on [0, 1]: ascending nodes, weights.
 
@@ -235,11 +218,10 @@ def _path_terms(coeffs, t, tt, ws) -> np.ndarray:
     return np.divide(add(k, mul(g, args, out=args), out=args), root, out=args)
 
 
-# Doubles per workspace slot: one first pass of _CHUNK rows at the default
-# 32 + 64 joined nodes, 48 kB, so the 6 slots take 288 kB.  A pass with
-# more nodes takes fewer rows at a time (6 at 1 024 nodes).  A pass of more
-# than _SLOT_SIZE nodes, which the last doublings reach once q.nodes is
-# above 192, takes one row at a time through a fresh buffer, one per call.
+# Doubles per workspace slot: one first pass of _CHUNK rows at the joined
+# 32 + 64 nodes, 48 kB, so the 6 slots take 288 kB.  A pass with more nodes
+# takes fewer rows at a time; every pass fits, the last doubling's 1 024
+# nodes at 6 rows.
 _SLOT_SIZE = 64 * 96
 _SLOTS = 6
 
@@ -270,7 +252,7 @@ def _path_integral(r, *counts) -> list:
     tt = t * t
     size = t.size
     step = max(1, _SLOT_SIZE // size)
-    flat = _workspace() if size <= _SLOT_SIZE else np.empty(_SLOTS * size)
+    flat = _workspace()
     ends = list(itertools.accumulate(counts))
     out = [np.empty(len(rows)) for _ in counts]
     for at in range(0, len(rows), step):
@@ -285,16 +267,20 @@ def _path_integral(r, *counts) -> list:
     return out
 
 
-# Hard ceiling on node-doubling refinement, as a multiple of q.nodes.
+# The quadrature's one rule: Gauss-Legendre from _NODES nodes, doubled until
+# one doubling moves a row by at most _ABS_TOL, up to _NODES * _MAX_REFINE
+# nodes.  Read at call time.
+_NODES = 32
+_ABS_TOL = 1e-9
 _MAX_REFINE = 32
 
-# Rows per _refined call: its first pass, at the default 32 + 64 nodes,
+# Rows per _refined call: its first pass, at the joined 32 + 64 nodes,
 # fills each workspace slot once; later passes, with more nodes, take fewer
 # rows at a time.
 _CHUNK = 64
 
 
-def orthant4_excess(s, q: QuadratureConfig = DEFAULT_QUADRATURE):
+def orthant4_excess(s):
     """orthant4(s) minus the decoupled baseline orthant2(r1)^2.
 
     This is the path integral itself, exposed separately because callers
@@ -307,54 +293,55 @@ def orthant4_excess(s, q: QuadratureConfig = DEFAULT_QUADRATURE):
     (R, 4) array of rows, giving an (R,) array equal bit for bit to one call
     per row; a batch raises the error of its lowest failing row.
 
-    Each row starts at q.nodes and doubles until one doubling moves it by
-    at most q.abs_tol (the usual case is the first check: well-conditioned
+    Each row starts at _NODES and doubles until one doubling moves it by
+    at most _ABS_TOL (the usual case is the first check: well-conditioned
     Sigma converges at 32->64, both rules taken in one integrand pass);
     near-singular Sigma gets more nodes, one new rule per doubling, and
-    QuadratureNotConverged means even q.nodes*_MAX_REFINE disagreed.
+    QuadratureNotConverged means even _NODES*_MAX_REFINE disagreed.
     """
     if isinstance(s, OrthantSpec4) or np.ndim(s) == 1:
         spec = s if isinstance(s, OrthantSpec4) else OrthantSpec4(tuple(s))
-        return float(_refined(np.array([spec.r]), q)[0])
+        return float(_refined(np.array([spec.r]))[0])
     rows = np.asarray(s, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise DomainError(f"need (R, 4) correlation rows, got shape {rows.shape}")
     if np.all(np.abs(rows) <= 1.0) and np.all(_leading_minors(rows) > PD_TOL):
         with contextlib.suppress(NumericalError):  # then row by row: the lowest failing row raises
-            return _refined(rows, q)
-    return np.array([orthant4_excess(row, q) for row in rows.tolist()])
+            return _refined(rows)
+    return np.array([orthant4_excess(row) for row in rows.tolist()])
 
 
-def _refined(rows: np.ndarray, q: QuadratureConfig) -> np.ndarray:
+def _refined(rows: np.ndarray) -> np.ndarray:
     """Node doubling per row of valid (R, 4) rows; converged rows drop out."""
     if len(rows) > _CHUNK:  # in order, so the first chunk to fail holds the lowest failing row
         starts = range(0, len(rows), _CHUNK)
-        return np.concatenate([_refined(rows[i : i + _CHUNK], q) for i in starts])
+        return np.concatenate([_refined(rows[i : i + _CHUNK]) for i in starts])
     out = np.empty(len(rows))
     live = np.arange(len(rows))
-    nodes = q.nodes
+    start, tol = _NODES, _ABS_TOL
+    nodes = start
     coarse, fine = _path_integral(rows, nodes, 2 * nodes)
-    while live.size and nodes <= q.nodes * _MAX_REFINE // 2:
-        if nodes > q.nodes:
+    while live.size and nodes <= start * _MAX_REFINE // 2:
+        if nodes > start:
             (fine,) = _path_integral(rows[live], 2 * nodes)
         moved = np.abs(fine - coarse)
-        done = moved <= q.abs_tol
+        done = moved <= tol
         out[live[done]] = fine[done]
         live, coarse, moved = live[~done], fine[~done], moved[~done]
         nodes *= 2
     if live.size:
         raise QuadratureNotConverged(
             f"the last node doubling ({nodes // 2} -> {nodes}) moved orthant4 by "
-            f"{moved[0]:.3e} > {q.abs_tol:.3e} at r={tuple(rows[live[0]].tolist())}"
+            f"{moved[0]:.3e} > {tol:.3e} at r={tuple(rows[live[0]].tolist())}"
         )
     return out
 
 
-def orthant4(s: OrthantSpec4, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def orthant4(s: OrthantSpec4) -> float:
     """Orthant probability of Sigma(r) by path integration from orthant2(r1)^2."""
     if not isinstance(s, OrthantSpec4):
         s = OrthantSpec4(tuple(s))
-    return orthant2(s.r[0]) ** 2 + orthant4_excess(s, q)
+    return orthant2(s.r[0]) ** 2 + orthant4_excess(s)
 
 
 def orthant4_mc(s: OrthantSpec4, draws: int, seed: int):

@@ -185,6 +185,7 @@ def change_indicator_count(x) -> tuple:
     arr = _finite_series(x)
     if arr.ndim != 1 or arr.size < 3:
         raise BadLength(f"need at least 3 values, got {arr.size}")
-    a, b, c = arr[:-2], arr[1:-1], arr[2:]
-    hit = ((a >= b) & (b < c)) | ((a < b) & (b >= c))
-    return int(np.count_nonzero(hit)), arr.size - 2
+    # for finite values x_k >= x_{k+1} is the negation of x_{k+1} > x_k, so
+    # a window changes where its two steps differ in going up
+    up = arr[1:] > arr[:-1]
+    return int(np.count_nonzero(up[1:] != up[:-1])), arr.size - 2

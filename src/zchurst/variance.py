@@ -27,10 +27,10 @@ _PI_SQ = math.pi * math.pi
 
 # Lags in k_threshold's first gamma_exact call; each later block doubles, up
 # to _MAX_BLOCK, so short searches stay short and long ones make few calls.
-# One block spans every H still searching and, for two or more H, is
-# tested as one (H, lag) array.  orthant4_excess integrates its rows in passes of at most 64 x 96
-# cells in a workspace kept across calls, so a block of a 1 000-H grid
-# needs no more kernel memory than a block of one H.
+# One block spans every H still searching.  orthant4_excess integrates its
+# rows in passes of at most 64 x 96 cells in a workspace kept across calls,
+# so a block of a 1 000-H grid needs no more kernel memory than a block of
+# one H.
 _BLOCK = 16
 _MAX_BLOCK = 64
 
@@ -181,8 +181,7 @@ def gamma_taylor(h, k: int, m: int = 3) -> float:
 
 
 def _taylor_series(hh, k, coeffs):
-    """gamma_taylor at a lag k, or broadcast over arrays: a float array of
-    lags k, with hh and each coefficient of coeffs an (H, 1) column."""
+    """gamma_taylor at a lag k, or at each lag of a float array k."""
     u2 = (hh * (2.0 * hh - 1.0) * k ** (2.0 * hh - 2.0)) ** 2
     total = coeffs[0] * u2  # never -0.0: both factors are >= 0
     power = u2
@@ -228,38 +227,20 @@ def _scalar_hit(hh, coeffs, lags, exact, eps):
     return None
 
 
-# numpy's array pow may differ from Python's scalar pow in the last bits,
-# which moves a ratio by about 1e-15 of |taylor / exact| (at most 1 + eps
-# near the boundary); ratios within this band of eps are decided again by
-# the scalar rule, so every decision is the scalar one.
-_GUARD = 1e-9
-
-
-def _first_hits(hs, coeffs, ks, exact, eps) -> list:
-    """Each H's first lag of ks that meets the threshold rule, or None, for
-    an (H,) array hs, an (H, m) array coeffs and an (H, lags) block of
-    exact values, tested as one array."""
-    taylor = _taylor_series(hs[:, None], ks.astype(float), coeffs.T[:, :, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(taylor - exact) / np.abs(exact)
-    hits = ratio < eps  # False where exact is 0: the ratio is inf or nan
-    for i, j in zip(*np.nonzero(np.abs(ratio - eps) <= _GUARD * (1.0 + eps))):
-        hit = _scalar_hit(float(hs[i]), coeffs[i], [int(ks[j])], [exact[i, j]], eps)
-        hits[i, j] = hit is not None
-    first = hits.argmax(axis=1).tolist()
-    return [int(ks[j]) if hits[i, j] else None for i, j in enumerate(first)]
-
-
 def _search(hs, coeffs, eps, k_max, start, size) -> list:
     """k_threshold's scan of each H in hs (with its (m,) Taylor coeffs) from
-    lag start, in blocks from size on: its threshold, or k_max + 1."""
+    lag start, in blocks from size on: its threshold, or k_max + 1.
+
+    Each block is one gamma_exact call over every H still searching, and
+    each H's row is decided by the scalar rule up to its first hit.
+    """
     found = [k_max + 1] * len(hs)
     live = list(range(len(hs)))
     while live and start <= k_max:
-        ks = np.arange(start, min(start + size, k_max + 1))
+        lags = list(range(start, min(start + size, k_max + 1)))
         try:
-            grid = np.repeat([hs[i] for i in live], ks.size)
-            exact = gamma_exact(grid, np.tile(ks, len(live))).reshape(len(live), -1)
+            grid = np.repeat([hs[i] for i in live], len(lags))
+            rows = gamma_exact(grid, np.tile(lags, len(live))).reshape(len(live), -1).tolist()
         except NumericalError:
             if len(live) > 1:
                 # Every pending H alone, in grid order: the first H that
@@ -267,20 +248,11 @@ def _search(hs, coeffs, eps, k_max, start, size) -> list:
                 for i in live:
                     found[i] = _search([hs[i]], [coeffs[i]], eps, k_max, start, size)[0]
                 return found
-            exact = None
-        if len(live) == 1:
-            # One H: the scalar rule lag by lag up to its first hit, which
-            # costs less than the array test; after a failed block lazily,
-            # as the failing lag may lie past the threshold.
-            hh, ch, lags = hs[live[0]], coeffs[live[0]], ks.tolist()
-            row = exact[0].tolist() if exact is not None else (gamma_exact(hh, k) for k in lags)
-            hits = [_scalar_hit(hh, ch, lags, row, eps)]
-        else:
-            hits = _first_hits(
-                np.array([hs[i] for i in live]), np.array([coeffs[i] for i in live]), ks, exact, eps
-            )
+            # One H, lag by lag: the failing lag may lie past the threshold.
+            rows = [(gamma_exact(hs[live[0]], k) for k in lags)]
         searching = []
-        for i, k in zip(live, hits):
+        for i, row in zip(live, rows):
+            k = _scalar_hit(hs[i], coeffs[i], lags, row, eps)
             if k is None:
                 searching.append(i)
             else:
@@ -288,11 +260,6 @@ def _search(hs, coeffs, eps, k_max, start, size) -> list:
         live = searching
         start, size = start + size, min(2 * size, _MAX_BLOCK)
     return found
-
-
-# Rows times lags per array of var_c's Taylor tail: 64 kB, as large as the
-# longest one-H tail of the n 8191 proxy.
-_TAIL_CELLS = 8192
 
 
 def _var_c(hs: list, n: int, n_tilde: list) -> list:
@@ -312,33 +279,17 @@ def _var_c(hs: list, n: int, n_tilde: list) -> list:
     terms = gamma_exact(np.repeat(hs, counts), ks)
     terms *= n - ks  # (n - k) gamma(k)
     values = []
-    for hh, start, count in zip(hs, starts, counts):
+    for hh, top, start, count in zip(hs, tops, starts, counts):
         total = (n - 1) * gamma1(hh)
         # Added in lag order: np.sum adds pairwise and would move output bytes.
         for term in terms[start : start + count].tolist():
             total += term
-        values.append(total)
-    # The Taylor tails, H with the same head length together, a few rows at
-    # a time: rows of a broadcast pow and row sums are bit for bit the
-    # one-H arrays and sums.
-    groups = {}
-    for i, top in enumerate(tops):
         if top < n:
-            groups.setdefault(top, []).append(i)
-    for top, rows in groups.items():
-        tail = np.arange(top, n, dtype=float)
-        step = max(1, _TAIL_CELLS // tail.size)
-        for at in range(0, len(rows), step):
-            part = rows[at : at + step]
-            h = np.array([[hs[i]] for i in part])
-            coeffs = np.array([_taylor_coeffs(hs[i], _TAYLOR_ORDER) for i in part]).T[:, :, None]
-            sums = np.sum((n - tail) * _taylor_series(h, tail, coeffs), axis=-1)
-            for i, tail_sum in zip(part, sums.tolist()):
-                values[i] += tail_sum
-    return [
-        0.0 if hh == 1.0 else (n * gamma0(hh) + 2.0 * total) / (n * n)
-        for hh, total in zip(hs, values)
-    ]
+            tail = np.arange(top, n, dtype=float)
+            series = _taylor_series(hh, tail, _taylor_coeffs(hh, _TAYLOR_ORDER))
+            total += float(np.sum((n - tail) * series))
+        values.append(0.0 if hh == 1.0 else (n * gamma0(hh) + 2.0 * total) / (n * n))
+    return values
 
 
 def var_c_exact(h, n: int) -> float:
@@ -355,8 +306,7 @@ def var_c_approx(h, n: int):
 
     h is one H, giving a float, or a 1-d array of H, giving an array equal
     bit for bit to one call per H.  One k_threshold call searches every H,
-    one gamma_exact call reads every H's exact head, and the Taylor tails of
-    H with the same n_tilde are formed together and summed row by row.
+    and one gamma_exact call reads every H's exact head.
     """
     hs = [as_hurst(v) for v in np.atleast_1d(h).tolist()]
     cap = min(_N_TILDE_CAP, n)

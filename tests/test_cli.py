@@ -166,6 +166,10 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: empty")
     # out-of-domain H is an input problem, not a crash
     assert main(["variance-table", "--h", "1.2", "--n", "16"]) == 2
+    # Table 3 runs no ZC and builds no proxy, and still refuses a bad step
+    bad_step = ["--replications", "10", "--proxy-grid-step", "-1"]
+    assert main(["reproduce", "--table", "3", *bad_step]) == 2
+    assert "grid_step must be in (0, 0.1]" in capsys.readouterr().err
     # a repeated grid value would overwrite a campaign cell
     assert main(["figure3", "--h", "0.55 0.55", "--replications", "5"]) == 2
     assert "repeats" in capsys.readouterr().err
@@ -176,9 +180,8 @@ def test_exit_code_3_on_numerical_failure(monkeypatch, capsys):
     # 2e-3), so the path integrand is sharply peaked: starting from 4 nodes,
     # the last doubling allowed (64 -> 128) still moves the excess by about
     # 7e-9, orders of magnitude above the tolerance and above rounding
-    tight = orthant.QuadratureConfig(nodes=4, abs_tol=1e-12)
-    real = variance.orthant4_excess
-    monkeypatch.setattr(variance, "orthant4_excess", lambda rows: real(rows, tight))
+    monkeypatch.setattr(orthant, "_NODES", 4)
+    monkeypatch.setattr(orthant, "_ABS_TOL", 1e-12)
     variance._gamma_memo.cache_clear()
     code = main(["variance-table", "--h", "0.999", "--n", "64"])
     variance._gamma_memo.cache_clear()
@@ -187,7 +190,7 @@ def test_exit_code_3_on_numerical_failure(monkeypatch, capsys):
     assert err.startswith("numerical failure:")
     # the message reports the disagreement that was actually seen
     moved = float(re.search(r"moved orthant4 by (\S+) >", err).group(1))
-    assert moved > tight.abs_tol
+    assert moved > orthant._ABS_TOL
 
 
 def test_config_file_parsing(tmp_path):
@@ -362,8 +365,7 @@ PUBLIC_SURFACE = set(
     SamplePath as_hurst rho synthesize
     Pattern PatternClass PatternCounts alpha beta change_indicator_count count_patterns
     p_bar p_hat pattern_class pattern_of_values
-    DEFAULT_QUADRATURE OrthantSpec4 QuadratureConfig orthant2 orthant4 orthant4_excess
-    orthant4_mc
+    OrthantSpec4 orthant2 orthant4 orthant4_excess orthant4_mc
     change_prob gamma0 gamma1 gamma_exact gamma_taylor
     k_threshold var_c_approx var_c_asymptotic var_c_exact
     EstimateReport asymptotic_expectation asymptotic_variance g g_prime g_second

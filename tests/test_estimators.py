@@ -1,6 +1,7 @@
 """Estimator-layer tests: the link function g, the two point estimators,
 their confidence intervals, and the deterministic asymptotic summaries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,7 +164,8 @@ def test_heaf_report():
 
 
 def _bits(report):
-    return report.h_hat.hex(), report.statistic.hex(), report.n, report.degenerate
+    """Every field of a report, floats as their bits."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
 
 
 # Levels of 0 or of magnitude 2**-10 to 2**10: times any 2**k with |k| <= 1000
@@ -188,6 +190,8 @@ def test_heaf_scale_invariance(x, k):
     assert _bits(heaf_estimate(x * 2.0**k)) == _bits(report)
     y = np.diff(x)
     assert not report.degenerate or np.all(y == y[0])
+    # and so is the ZC report, interval included
+    assert _bits(zc_estimate(x * 2.0**k)) == _bits(zc_estimate(x))
 
 
 def test_heaf_extreme_scales():

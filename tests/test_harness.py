@@ -105,6 +105,11 @@ def test_campaign_spec_validation():
         dict(good, lengths=(64, 64)),
         dict(good, lengths=(64, 64.0)),
         dict(good, hurst_grid=(0.55, 0.7, 0.55), lengths=(64, 64), estimators=("HEAF",)),
+        # the proxy grid step is checked even where no proxy is built
+        *(
+            dict(good, proxy_grid_step=step, estimators=("HEAF",))
+            for step in (-1, 0, 0.5, math.nan)
+        ),
     ):
         with pytest.raises(DomainError):
             CampaignSpec(**bad)

@@ -24,7 +24,6 @@ from zchurst import (
     NotPositiveDefinite,
     NumericalError,
     OrthantSpec4,
-    QuadratureConfig,
     QuadratureNotConverged,
     orthant2,
     orthant4,
@@ -36,7 +35,7 @@ from zchurst import orthant
 from zchurst.orthant import (
     _CHUNK,
     _MAX_REFINE,
-    DEFAULT_QUADRATURE,
+    _NODES,
     PD_TOL,
     _clamped_arcsin,
     _leading_minors,
@@ -207,10 +206,6 @@ def test_spec_validation():
         OrthantSpec4((0.9, -0.9, 0.9, 0.9))
     with pytest.raises(NotPositiveDefinite):
         OrthantSpec4((1.0, 0.0, 0.0, 0.0))
-    with pytest.raises(DomainError):
-        QuadratureConfig(nodes=1, abs_tol=1e-9)
-    with pytest.raises(DomainError):
-        QuadratureConfig(nodes=48, abs_tol=0.0)
 
 
 def test_arcsin_clamp_boundary():
@@ -285,14 +280,12 @@ def test_quadrature_node_doubling_converged():
         if np.linalg.eigvalsh(sigma)[0] < 0.05:
             continue
         found += 1
-        coarse, fine = _path_integral(r, DEFAULT_QUADRATURE.nodes, 2 * DEFAULT_QUADRATURE.nodes)
+        coarse, fine = _path_integral(r, _NODES, 2 * _NODES)
         assert abs(coarse - fine)[0] < 1e-10
 
 
 # Node counts along the doubling chain from the default and from 4.
-_CHAIN = st.sampled_from(
-    [DEFAULT_QUADRATURE.nodes << i for i in range(6)] + [4 << i for i in range(6)]
-)
+_CHAIN = st.sampled_from([_NODES << i for i in range(6)] + [4 << i for i in range(6)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,9 +301,7 @@ def test_vecdot_is_the_per_row_dot(rows, nodes, seed):
 @settings(max_examples=100, deadline=None)
 @given(
     rows=_ROWS,
-    nodes=st.sampled_from(
-        [4, 7] + [DEFAULT_QUADRATURE.nodes * m for m in (1, 2, _MAX_REFINE // 2)]
-    ),
+    nodes=st.sampled_from([4, 7] + [_NODES * m for m in (1, 2, _MAX_REFINE // 2)]),
 )
 def test_joined_pass_is_two_single_rule_passes(rows, nodes):
     rows = np.array([r for r in rows if np.linalg.eigvalsh(_sigma(*r))[0] > 1e-9])
@@ -488,7 +479,7 @@ def test_node_rules_against_mpmath():
     # the default's first check (32 and 64 nodes); numpy's leggauss weights
     # were off by 5.8e-14 and 1.3e-12 relative there
     with mpmath.workdps(34):
-        for count in (DEFAULT_QUADRATURE.nodes, 2 * DEFAULT_QUADRATURE.nodes):
+        for count in (_NODES, 2 * _NODES):
             t, (w,) = _nodes01(count)
             nodes, weights = _gauss_legendre01_mp(count)
             for got, exact in zip(t.tolist(), nodes):
@@ -502,16 +493,20 @@ def _lag2_row(h):
     return (rho(h, 1), rho(h, 2), rho(h, 3), rho(h, 1))
 
 
-# Sigma of the H = 0.999 lag-2 row is near singular: from 4 nodes, even the
-# last doubling allowed (64 -> 128) still moves the excess by about 7e-9.
-TIGHT = QuadratureConfig(nodes=4, abs_tol=1e-12)
+@pytest.fixture
+def tight(monkeypatch):
+    """A quadrature from 4 nodes to abs_tol 1e-12.  Sigma of the H = 0.999
+    lag-2 row is near singular: even the last doubling allowed (64 -> 128)
+    still moves its excess by about 7e-9."""
+    monkeypatch.setattr(orthant, "_NODES", 4)
+    monkeypatch.setattr(orthant, "_ABS_TOL", 1e-12)
 
 
-def test_quadrature_not_converged_is_loud():
+def test_quadrature_not_converged_is_loud(tight):
     with pytest.raises(QuadratureNotConverged) as info:
-        orthant4(OrthantSpec4(_lag2_row(0.999)), TIGHT)
+        orthant4(OrthantSpec4(_lag2_row(0.999)))
     moved = float(re.search(r"moved orthant4 by (\S+) >", str(info.value)).group(1))
-    assert moved > TIGHT.abs_tol
+    assert moved > orthant._ABS_TOL
 
 
 def test_batch_rows_match_one_at_a_time():
@@ -530,15 +525,15 @@ def test_batch_rows_match_one_at_a_time():
     assert orthant4_excess(np.empty((0, 4))).shape == (0,)
 
 
-def test_batch_raises_for_its_lowest_failing_row():
+def test_batch_raises_for_its_lowest_failing_row(tight):
     good = (0.3, 0.1, 0.05, 0.2)
     singular = (0.99, 0.99, 0.99, -0.99)
     slow = _lag2_row(0.999)
     for rows, lowest in (([good, slow, singular], slow), ([good, singular, slow], singular)):
         with pytest.raises(NumericalError) as alone:
-            orthant4_excess(lowest, TIGHT)
+            orthant4_excess(lowest)
         with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
-            orthant4_excess(np.array(rows), TIGHT)
+            orthant4_excess(np.array(rows))
     with pytest.raises(DomainError):
         orthant4_excess(np.zeros((3, 3)))
 

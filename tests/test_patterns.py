@@ -198,6 +198,11 @@ def test_counts_invariant_under_increasing_maps(values):
     for f in (lambda v: 4.0 * v + 3.0, lambda v: v**3, lambda v: np.exp(v / 8.0)):
         assert np.all(np.diff(f(np.unique(x))) > 0.0)
         assert _ordinal_counts(f(x)) == _ordinal_counts(x)
+    # the local-extremum rule written out, ties and all
+    longhand = sum(
+        (a >= b < c) or (a < b >= c) for a, b, c in zip(values, values[1:], values[2:])
+    )
+    assert change_indicator_count(x) == (longhand, len(values) - 2)
 
 
 def test_counting_across_chunk_boundaries():

@@ -178,12 +178,11 @@ def _linear_threshold(h, m, eps, k_max):
     return None
 
 
-def test_guard_band_keeps_the_scalar_decision(monkeypatch):
-    # eps set to a lag's exact ratio (by the scalar rule) puts the array
-    # test on its boundary, where numpy's pow and Python's may disagree:
-    # the band hands those entries to the scalar rule.  H 0.95 keeps every
-    # block of the grid an array test; one H alone is scanned by the
-    # scalar rule throughout.
+def test_threshold_at_the_ratio_is_the_scalar_decision(monkeypatch):
+    # eps set to a lag's exact ratio (by the scalar rule) puts the rule on
+    # its boundary, where numpy's pow and Python's may disagree: one H alone
+    # and each H of a three-H grid are decided by the scalar rule, on the
+    # grid's block as on their own.
     real = variance._scalar_hit
     rechecked = []
 
