@@ -1,13 +1,13 @@
 """Batch command line interface.
 
 Subcommands write CSV (header row, floats at 17 significant digits) so the
-artifacts diff cleanly across runs.  Settings resolve in three layers:
-built-in defaults, then an optional key=value config file, then explicit
-command line flags.
+artifacts diff cleanly across runs.  Each subcommand takes only the flags it
+reads: `figure1` its grid step, `figure3` and `reproduce` the proxy's step,
+each defaulting to `Settings`.
 
-Exit codes: 0 success, 2 bad input (unparseable data, unknown config key,
-domain violations), 3 numerical failure (non-PSD embedding, quadrature not
-converged, search cap hit).
+Exit codes: 0 success, 2 bad input (unparseable data, a flag the subcommand
+does not take, domain violations), 3 numerical failure (non-PSD embedding,
+quadrature not converged, search cap hit).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -54,52 +53,10 @@ DEFAULT_SEED = 20240801
 
 @dataclasses.dataclass
 class Settings:
-    """The H-grid steps shared across subcommands."""
+    """The default H-grid steps of the flags that take them."""
 
     proxy_grid_step: float = 0.001
     figure1_grid_step: float = 0.001
-
-
-# Each setting's value type, for the config file and its --flag.
-_SETTING_TYPES = typing.get_type_hints(Settings)
-
-
-def parse_config(path: str) -> dict:
-    """Read key=value lines; '#' starts a comment, blank lines are skipped."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in _SETTING_TYPES:
-                raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _SETTING_TYPES[key](text)
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: bad value {text!r} for {key}"
-                ) from None
-    return values
-
-
-def resolve_settings(args) -> Settings:
-    """Defaults, then the config file, then flags.  Every command calls this,
-    also one that reads no setting, so a bad config file always exits 2."""
-    settings = Settings()
-    if getattr(args, "config", None):
-        for key, value in parse_config(args.config).items():
-            setattr(settings, key, value)
-    for key in _SETTING_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(settings, key, flag)
-    return settings
 
 
 def _read_series(path: str) -> np.ndarray:
@@ -141,7 +98,6 @@ def _report_lines(report):
 
 def cmd_estimate(args, out) -> int:
     values = _read_series(args.file)
-    resolve_settings(args)
     if args.method == "zc":
         report = zc_estimate(values)
     else:
@@ -166,7 +122,7 @@ def _parse_list(text: str, kind, what: str):
 
 
 def _emit(rows, columns, args, out, filename):
-    if getattr(args, "out", None):
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, filename)
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -176,22 +132,19 @@ def _emit(rows, columns, args, out, filename):
 
 
 def cmd_variance_table(args, out) -> int:
-    resolve_settings(args)
     rows = variance_table_rows(_parse_list(args.h, float, "H"), _parse_list(args.n, int, "n"))
     _emit(rows, VARIANCE_TABLE_COLUMNS, args, out, "variance_table.csv")
     return 0
 
 
 def cmd_table1(args, out) -> int:
-    resolve_settings(args)
     rows = table1()
     _emit(rows, TABLE1_COLUMNS, args, out, "table1.csv")
     return 0
 
 
 def cmd_figure1(args, out) -> int:
-    settings = resolve_settings(args)
-    rows = figure1_data(grid_step=settings.figure1_grid_step)
+    rows = figure1_data(grid_step=args.figure1_grid_step)
     _emit(rows, FIGURE1_COLUMNS, args, out, "figure1.csv")
     return 0
 
@@ -204,7 +157,7 @@ def _campaign_spec(args, hurst_grid, lengths, estimator) -> CampaignSpec:
         base_seed=args.seed,
         estimators=(estimator,),
         workers=args.workers,
-        proxy_grid_step=resolve_settings(args).proxy_grid_step,
+        proxy_grid_step=args.proxy_grid_step,
     )
 
 
@@ -218,8 +171,6 @@ def cmd_figure3(args, out) -> int:
 
 
 def cmd_reproduce(args, out) -> int:
-    if args.table == 1:
-        return cmd_table1(args, out)
     estimator = ZC if args.table == 2 else HEAF
     result = run_campaign(_campaign_spec(args, TABLE23_GRID, TABLE23_LENGTHS, estimator))
     if args.table == 2:
@@ -227,12 +178,6 @@ def cmd_reproduce(args, out) -> int:
     else:
         _emit(table3_rows(result), TABLE3_COLUMNS, args, out, "table3.csv")
     return 0
-
-
-def _add_settings_flags(parser):
-    parser.add_argument("--config", help="key=value config file")
-    for key, kind in _SETTING_TYPES.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
 @functools.cache
@@ -252,24 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", choices=("zc", "heaf"), default="zc")
     p.add_argument("--json", action="store_true")
-    _add_settings_flags(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("variance-table", help="Var_H(c_n) on an (H, n) grid")
     p.add_argument("--h", required=True, help="H values, comma or space separated")
     p.add_argument("--n", required=True, help="window counts, comma or space separated")
     p.add_argument("--out", help="directory for variance_table.csv (default stdout)")
-    _add_settings_flags(p)
     p.set_defaults(func=cmd_variance_table)
 
     p = sub.add_parser("table1", help="Taylor accuracy threshold lags")
     p.add_argument("--out", help="directory for table1.csv (default stdout)")
-    _add_settings_flags(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("figure1", help="interval bounds and asymptotic moments on an H grid")
     p.add_argument("--out", help="directory for figure1.csv (default stdout)")
-    _add_settings_flags(p)
+    p.add_argument("--figure1-grid-step", type=float, default=Settings.figure1_grid_step)
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("figure3", help="standardized estimate samples and KS diagnostics")
@@ -282,16 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         help="directory for figure3_summary.csv and figure3_samples.csv (default: summary to stdout)",
     )
-    _add_settings_flags(p)
+    p.add_argument("--proxy-grid-step", type=float, default=Settings.proxy_grid_step)
     p.set_defaults(func=cmd_figure3)
 
-    p = sub.add_parser("reproduce", help="rerun a numbered table end to end")
-    p.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
+    p = sub.add_parser("reproduce", help="rerun Table 2 or 3 end to end")
+    p.add_argument("--table", type=int, choices=(2, 3), required=True)
     p.add_argument("--replications", type=int, default=DEFAULT_REPLICATIONS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="output directory (default stdout)")
     p.add_argument("--workers", type=int, default=1)
-    _add_settings_flags(p)
+    p.add_argument("--proxy-grid-step", type=float, default=Settings.proxy_grid_step)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

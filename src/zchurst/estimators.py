@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadLength, DomainError
+from .errors import DomainError
 from .fbm import as_hurst
 from .patterns import _finite_series, change_indicator_count
 from .variance import change_prob, var_c_approx
@@ -158,9 +158,7 @@ def heaf_estimate(x) -> EstimateReport:
     exact, so x * 2**k gives the report of x bit for bit wherever that
     product is exact and the sums at x lose no bits.
     """
-    arr = _finite_series(x)
-    if arr.ndim != 1 or arr.size < 3:
-        raise BadLength(f"need at least 3 values, got {arr.size}")
+    arr = _finite_series(x, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         cross, denom = _lag1_sums(arr)
     if not _HEAF_DENOM_FLOOR <= denom < math.inf:

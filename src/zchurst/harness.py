@@ -116,18 +116,21 @@ class CampaignSpec:
     def __post_init__(self):
         if not self.hurst_grid or not self.lengths:
             raise DomainError("hurst_grid and lengths must be non-empty")
-        if self.replications < 1:
-            raise DomainError(f"need at least 1 replication, got {self.replications}")
-        if self.workers < 1:
-            raise DomainError(f"need at least 1 worker, got {self.workers}")
+        # v % 1 is nonzero for a fraction, and NaN for NaN and +-inf
+        if self.replications < 1 or self.replications % 1 != 0:
+            raise DomainError(f"need a whole number >= 1 of replications, got {self.replications}")
+        if self.workers < 1 or self.workers % 1 != 0:
+            raise DomainError(f"need a whole number >= 1 of workers, got {self.workers}")
         unknown = set(self.estimators) - {ZC, HEAF}
         if unknown:
             raise DomainError(f"unknown estimators: {sorted(unknown)}")
         _check_grid_step(self.proxy_grid_step)  # also where ZC, and so the proxy, does not run
         object.__setattr__(self, "hurst_grid", tuple(as_hurst(h) for h in self.hurst_grid))
+        if any(n < 3 or n % 1 != 0 for n in self.lengths):
+            raise DomainError(
+                f"every length must be a whole number >= 3 (window count >= 1), got {self.lengths}"
+            )
         object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
-        if any(n < 3 for n in self.lengths):
-            raise DomainError("every length must be >= 3 (window count >= 1)")
         # cells are keyed by value: a repeat would overwrite an earlier cell
         for name, grid in (("hurst_grid", self.hurst_grid), ("lengths", self.lengths)):
             if len(set(grid)) < len(grid):

@@ -352,8 +352,8 @@ def orthant4_mc(s: OrthantSpec4, draws: int, seed: int):
     """
     if not isinstance(s, OrthantSpec4):
         s = OrthantSpec4(tuple(s))
-    if draws < 1:
-        raise DomainError(f"need at least 1 draw, got {draws}")
+    if draws < 1 or draws % 1 != 0:  # v % 1 is NaN for NaN and +-inf
+        raise DomainError(f"need a whole number >= 1 of draws, got {draws}")
     chol = np.linalg.cholesky(s.matrix)
     rng = np.random.Generator(np.random.Philox(key=seed))
     hits = 0

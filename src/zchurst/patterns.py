@@ -30,12 +30,15 @@ def _factorials(d: int) -> np.ndarray:
     return np.array([math.factorial(d - l) for l in range(d + 1)], dtype=np.int64)
 
 
-def _finite_series(x) -> np.ndarray:
+def _finite_series(x, min_size: int) -> np.ndarray:
+    """x as a 1-D float array of at least min_size values, all finite."""
     arr = np.asarray(x, dtype=float)
     finite = np.isfinite(arr)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise InputError(f"series value at index {bad} is {arr.flat[bad]}, not finite")
+    if arr.ndim != 1 or arr.size < min_size:
+        raise BadLength(f"need a 1-D series of at least {min_size} values, got shape {arr.shape}")
     return arr
 
 
@@ -118,9 +121,7 @@ def pattern_class(p: Pattern) -> PatternClass:
 
 def pattern_of_values(x) -> Pattern:
     """Ordinal pattern of one window of d+1 values."""
-    arr = _finite_series(x)
-    if arr.ndim != 1 or arr.size < 2:
-        raise BadLength(f"need at least 2 values in one window, got shape {arr.shape}")
+    arr = _finite_series(x, 2)
     return Pattern(tuple((arr.size - 1 - _ranks(arr)).tolist()))
 
 
@@ -144,9 +145,7 @@ def count_patterns(x, d: int) -> PatternCounts:
     """
     if not 1 <= d <= _MAX_ORDER:
         raise DomainError(f"order must be in 1..{_MAX_ORDER}, got {d}")
-    arr = _finite_series(x)
-    if arr.ndim != 1 or arr.size < d + 1:
-        raise BadLength(f"need at least d+1={d + 1} values, got {arr.size}")
+    arr = _finite_series(x, d + 1)
     windows = sliding_window_view(arr, d + 1)
     n = windows.shape[0]
     tally = {}
@@ -182,9 +181,7 @@ def change_indicator_count(x) -> tuple:
     changes/windows is the zero-crossing rate of the first differences, and
     equals 4 * p_bar of the d=2 change class exactly, ties included.
     """
-    arr = _finite_series(x)
-    if arr.ndim != 1 or arr.size < 3:
-        raise BadLength(f"need at least 3 values, got {arr.size}")
+    arr = _finite_series(x, 3)
     # for finite values x_k >= x_{k+1} is the negation of x_{k+1} > x_k, so
     # a window changes where its two steps differ in going up
     up = arr[1:] > arr[:-1]

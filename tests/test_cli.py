@@ -1,6 +1,7 @@
-"""End-to-end CLI tests: subcommand output, exit codes, config layering,
-and determinism of the file artifacts."""
+"""End-to-end CLI tests: subcommand output, exit codes, the flags each
+subcommand takes, and determinism of the file artifacts."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -15,8 +16,7 @@ import pytest
 
 import zchurst
 from zchurst import cli, harness, orthant, synthesize, variance, zc_estimate
-from zchurst.cli import Settings, build_parser, main, parse_config, resolve_settings
-from zchurst.errors import InputError
+from zchurst.cli import Settings, build_parser, main
 from zchurst.harness import FIGURE3_SUMMARY_COLUMNS, VARIANCE_TABLE_COLUMNS
 
 from benchmarks import TABLE1_H_GRID, TABLE1_K_EPS_01, TABLE1_K_EPS_001
@@ -104,17 +104,15 @@ def test_series_reader_refusals(tmp_path, capsys, method, text, err):
     assert captured.err == "error: " + err.format(f=f) + "\n"
 
 
-def test_parser_is_built_once_and_keeps_no_settings(tmp_path, capsys):
+def test_parser_is_built_once_and_keeps_no_settings(capsys):
     assert build_parser() is build_parser()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("figure1_grid_step=0.05\n")
-    # the flag's step, then the config file's alone, then the default:
-    # 11, 21 and 1001 rows per length, so a leaked flag or key would show
-    assert main(["figure1", "--config", str(cfg), "--figure1-grid-step", "0.1"]) == 0
-    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 3 * 11
-    assert main(["figure1", "--config", str(cfg)]) == 0
-    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 3 * 21
-    assert resolve_settings(build_parser().parse_args(["figure1"])) == Settings()
+    # two steps, then the default: 11, 21 and 1001 rows per length, so a
+    # step left over from an earlier call would show
+    for step, rows in (("0.1", 11), ("0.05", 21)):
+        assert main(["figure1", "--figure1-grid-step", step]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 3 * rows
+    args = build_parser().parse_args(["figure1"])
+    assert args.figure1_grid_step == Settings().figure1_grid_step
 
 
 def test_cold_process_matches_in_process(series_file, capsys):
@@ -148,14 +146,22 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         assert main(["estimate", str(gap), "--method", method]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    # a misspelt key, and the quadrature and Taylor settings, which are fixed
-    cfg = tmp_path / "bad.cfg"
-    capsys.readouterr()
-    removed = ("quad_nodes", "quad_abs_tol", "taylor_order", "taylor_eps", "n_tilde_cap")
-    for key in ("proxy_grid_stap",) + removed:
-        cfg.write_text(f"{key}=1\n")
-        assert main(["variance-table", "--h", "0.6", "--n", "4", "--config", str(cfg)]) == 2
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
+    # a flag the subcommand does not read, and Table 1 outside `table1`, are
+    # usage errors: argparse exits 2 before the command runs
+    for argv in (
+        ["estimate", str(gap), "--proxy-grid-step", "-5"],
+        ["table1", "--figure1-grid-step", "-3"],
+        ["variance-table", "--h", "0.6", "--n", "4", "--proxy-grid-step", "nan"],
+        ["figure1", "--proxy-grid-step", "-1"],
+        ["reproduce", "--table", "1", "--replications", "-5", "--workers", "0", "--seed", "-1"],
+        ["figure1", "--config", "x.cfg"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: zchurst" in captured.err
 
     assert main(["variance-table", "--h", "0.5,x", "--n", "16"]) == 2
     capsys.readouterr()
@@ -193,50 +199,68 @@ def test_exit_code_3_on_numerical_failure(monkeypatch, capsys):
     assert moved > orthant._ABS_TOL
 
 
-def test_config_file_parsing(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# steps\n"
-        "figure1_grid_step = 0.02  # inline comment\n"
-        "\n"
-        "proxy_grid_step=0.05\n"
-    )
-    assert parse_config(str(cfg)) == {
-        "figure1_grid_step": 0.02,
-        "proxy_grid_step": 0.05,
-    }
-    cfg.write_text("just a line\n")
-    with pytest.raises(InputError):
-        parse_config(str(cfg))
-    cfg.write_text("proxy_grid_step=abc\n")
-    with pytest.raises(InputError):
-        parse_config(str(cfg))
+# The minimal argv of each subcommand, and the step flags it takes.
+SUBCOMMANDS = {
+    "estimate": (["estimate", "series.txt"], ()),
+    "variance-table": (["variance-table", "--h", "0.6", "--n", "4"], ()),
+    "table1": (["table1"], ()),
+    "figure1": (["figure1"], ("--figure1-grid-step",)),
+    "figure3": (["figure3"], ("--proxy-grid-step",)),
+    "reproduce": (["reproduce", "--table", "2"], ("--proxy-grid-step",)),
+}
+STEP_FLAGS = ("--proxy-grid-step", "--figure1-grid-step")
 
 
-def test_settings_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("proxy_grid_step=0.05\nfigure1_grid_step=0.02\n")
-    args = build_parser().parse_args(
-        ["figure1", "--config", str(cfg), "--proxy-grid-step", "0.1"]
-    )
-    # flag beats config beats default; 0.1 is neither the config's value nor
-    # the default, so the assertion fails if either layer wins
-    assert resolve_settings(args) == Settings(proxy_grid_step=0.1, figure1_grid_step=0.02)
-    args = build_parser().parse_args(["figure1", "--proxy-grid-step", "0.1"])
-    assert resolve_settings(args) == Settings(proxy_grid_step=0.1)
+def test_config_file_parsing(capsys):
+    # there is no config file: every subcommand refuses --config, the step
+    # flags it does not read, a misspelt one, and the quadrature and Taylor
+    # settings, which are fixed
+    removed = ("--quad-nodes", "--quad-abs-tol", "--taylor-order", "--taylor-eps", "--n-tilde-cap")
+    others = ("--config", "--proxy-grid-stap") + STEP_FLAGS + removed
+    for command, (argv, taken) in SUBCOMMANDS.items():
+        refused = [f for f in others if f not in taken]
+        for flag in refused:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "0.05"])
+            assert exc.value.code == 2, (command, flag)
+            assert f"unrecognized arguments: {flag} 0.05" in capsys.readouterr().err
+
+
+def test_settings_precedence():
+    # the flag beats the default; 0.05 is not the default, so the
+    # assertion fails if the default wins
+    for command, (argv, taken) in SUBCOMMANDS.items():
+        for flag in taken:
+            dest = flag[2:].replace("-", "_")
+            default = build_parser().parse_args(argv)
+            assert getattr(default, dest) == getattr(Settings(), dest) != 0.05
+            assert getattr(build_parser().parse_args([*argv, flag, "0.05"]), dest) == 0.05
 
 
 DOCS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs")
 
 
-def test_configuration_doc_lists_the_settings(tmp_path):
+def test_configuration_doc_lists_the_settings():
     with open(os.path.join(DOCS, "configuration.md"), encoding="utf-8") as fh:
         text = fh.read()
-    keys = text.split("\n## Keys\n", 1)[1].split("\n## ", 1)[0]
-    assert re.findall(r"^\| `(\w+)` \|", keys, flags=re.M) == list(cli._SETTING_TYPES)
-    example = tmp_path / "example.cfg"
-    example.write_text(re.search(r"^```\n(.*?)^```$", text, flags=re.M | re.S).group(1))
-    assert parse_config(str(example))
+    flags = text.split("\n## Flags\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(--[\w-]+)` \| ([^|]+) \| ([^|]+) \|", flags, flags=re.M)
+    documented = {
+        flag: (float(default), set(re.findall(r"`([\w-]+)`", commands)))
+        for flag, default, commands in rows
+    }
+    # one flag per Settings field, listed with the subcommands that take it
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    accepted = {}
+    for command, sub in subparsers.items():
+        for action in sub._actions:
+            if action.dest in vars(Settings()):
+                flag = action.option_strings[0]
+                accepted.setdefault(flag, (action.default, set()))[1].add(command)
+    assert set(accepted) == {"--" + key.replace("_", "-") for key in vars(Settings())}
+    assert documented == accepted
 
 
 def test_variance_table_stdout(capsys):
@@ -325,7 +349,7 @@ def test_campaign_commands_pass_settings_to_the_spec(monkeypatch):
 
 def test_reproduce_table1_file(tmp_path, capsys):
     out_dir = tmp_path / "t1"
-    assert main(["reproduce", "--table", "1", "--out", str(out_dir)]) == 0
+    assert main(["table1", "--out", str(out_dir)]) == 0
     with open(out_dir / "table1.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 20

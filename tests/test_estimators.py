@@ -3,6 +3,7 @@ their confidence intervals, and the deterministic asymptotic summaries."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_zc_degenerate_inputs_stay_finite():
     assert abs(report.h_hat - 0.5) < 0.03
     with pytest.raises(BadLength):
         zc_estimate(np.array([1.0, 2.0]))
+    # a 2-D array is named by its shape, not by its size of 9
+    with pytest.raises(BadLength, match=re.escape("got shape (3, 3)")):
+        zc_estimate(np.zeros((3, 3)))
 
 
 def test_zc_variance_injection():
@@ -161,6 +165,9 @@ def test_heaf_report():
     assert flat.h_hat == 1.0
     with pytest.raises(BadLength):
         heaf_estimate(np.array([1.0, 2.0]))
+    # a 2-D array is named by its shape, not by its size of 9
+    with pytest.raises(BadLength, match=re.escape("got shape (3, 3)")):
+        heaf_estimate(np.zeros((3, 3)))
 
 
 def _bits(report):

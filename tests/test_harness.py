@@ -104,6 +104,10 @@ def test_campaign_spec_validation():
         dict(good, hurst_grid=(0.55, 0.7, 0.55)),
         dict(good, lengths=(64, 64)),
         dict(good, lengths=(64, 64.0)),
+        # a count is refused unless it is whole; 64.0 above is a whole length
+        dict(good, lengths=(64.9,)),
+        dict(good, replications=2.5),
+        dict(good, workers=1.5),
         dict(good, hurst_grid=(0.55, 0.7, 0.55), lengths=(64, 64), estimators=("HEAF",)),
         # the proxy grid step is checked even where no proxy is built
         *(

@@ -556,6 +556,15 @@ def test_mc_reproducible():
     assert orthant4_mc(s, 200_000, seed=1) != orthant4_mc(s, 200_000, seed=2)
 
 
+def test_mc_refuses_draws_that_are_not_a_whole_count():
+    # a fraction would draw int(draws) normals and divide by draws
+    s = (0.1,) * 4
+    for draws in (0, -3, 2.5, 0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="whole number >= 1 of draws"):
+            orthant4_mc(s, draws, 0)
+    assert orthant4_mc(s, 4.0, 0) == orthant4_mc(s, 4, 0)
+
+
 def _orthant4_mc_plain(s, draws, seed):
     """orthant4_mc with its hits counted by all(axis=1), written out here."""
     chol = np.linalg.cholesky(s.matrix)

@@ -6,6 +6,7 @@ tie layout an order-4 window can exhibit is covered.
 """
 
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -228,3 +229,7 @@ def test_count_patterns_validation():
         count_patterns(np.array([1.0, 2.0]), 2)
     with pytest.raises(BadLength):
         change_indicator_count(np.array([1.0, 2.0]))
+    # a 2-D array is named by its shape, not by its size of 9
+    for reader in (lambda x: count_patterns(x, 2), change_indicator_count):
+        with pytest.raises(BadLength, match=re.escape("got shape (3, 3)")):
+            reader(np.zeros((3, 3)))
