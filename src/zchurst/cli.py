@@ -62,22 +62,19 @@ class Settings:
 def _read_series(path: str) -> np.ndarray:
     r"""One float per line, blank lines skipped, as a float64 array.
 
-    Lines end at "\n" only (text mode folds "\r\n" and "\r" into it), so a
-    form feed or other Unicode line break inside a line is not a separator.
-    A line that does not parse, or parses to NaN or +-inf, is refused by its
-    1-based line number, blank lines counted.
+    The file is UTF-8; a leading byte-order mark is skipped.  Lines end at
+    "\n" only (text mode folds "\r\n" and "\r" into it), so a form feed or
+    other Unicode line break inside a line is not a separator.  Each line is
+    read by Python's float().  A line that does not parse, or parses to NaN
+    or +-inf, is refused by its 1-based line number, blank lines counted.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().removesuffix("\n").split("\n")
     try:
-        values = np.array([float(line) for line in map(str.strip, lines) if line])
+        # numpy reads each string with float(), so a blank line raises too
+        values = np.array(lines, dtype=float)
     except ValueError:
-        for lineno, line in _numbered(lines):
-            try:
-                float(line)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: not a number: {line!r}") from None
-        raise
+        values = _read_lines(path, lines)
     if not values.size:
         raise InputError(f"{path}: no data")
     if not np.isfinite(values).all():
@@ -86,14 +83,20 @@ def _read_series(path: str) -> np.ndarray:
     return values
 
 
+def _read_lines(path: str, lines) -> np.ndarray:
+    """The non-blank lines as floats; the first that does not parse is refused."""
+    values = []
+    for lineno, line in _numbered(lines):
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: not a number: {line!r}") from None
+    return np.array(values)
+
+
 def _numbered(lines):
     """(1-based line number, stripped line) of each non-blank line."""
     return ((i, line) for i, line in enumerate(map(str.strip, lines), start=1) if line)
-
-
-def _report_lines(report):
-    for key, value in dataclasses.asdict(report).items():
-        yield f"{key}: {value}"
 
 
 def cmd_estimate(args, out) -> int:
@@ -102,12 +105,14 @@ def cmd_estimate(args, out) -> int:
         report = zc_estimate(values)
     else:
         report = heaf_estimate(values)
+    # the fields are scalars, so asdict's deep copy would buy nothing
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     if args.json:
-        out.write(json.dumps(dataclasses.asdict(report), indent=2))
+        out.write(json.dumps(fields, indent=2))
         out.write("\n")
     else:
-        for line in _report_lines(report):
-            out.write(line + "\n")
+        for key, value in fields.items():
+            out.write(f"{key}: {value}\n")
     return 0
 
 

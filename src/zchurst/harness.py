@@ -36,7 +36,7 @@ from .estimators import (
     zc_interval,
 )
 from .fbm import as_hurst, synthesize
-from .variance import k_threshold, var_c_approx, var_c_asymptotic
+from .variance import k_threshold, var_c_approx, var_c_asymptotic, window_count
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -471,7 +471,7 @@ def variance_table_rows(h_list, n_list):
     for h in h_list:
         hh = as_hurst(h)
         for n in n_list:
-            n = int(n)
+            n = window_count(n)
             var_c = var_c_approx(hh, n)
             rows.append(
                 {

@@ -269,8 +269,6 @@ def _var_c(hs: list, n: int, n_tilde: list) -> list:
     gamma_exact call; from n_tilde on the order-_TAYLOR_ORDER Taylor form.  Each value
     is bit for bit a one-H sum.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1 windows, got {n}")
     # H = 1 has no head and no tail: gamma vanishes, and so does the value
     tops = [n if hh == 1.0 else min(top, n) for hh, top in zip(hs, n_tilde)]
     counts = [0 if hh == 1.0 else max(top - 2, 0) for hh, top in zip(hs, tops)]
@@ -292,8 +290,17 @@ def _var_c(hs: list, n: int, n_tilde: list) -> list:
     return values
 
 
+def window_count(n) -> int:
+    """n as an int, refused unless it is a whole number >= 1 (64.0 is whole)."""
+    # n % 1 is nonzero for a fraction, and NaN for NaN and +-inf
+    if n < 1 or n % 1 != 0:
+        raise DomainError(f"need a whole number n >= 1 of windows, got {n}")
+    return int(n)
+
+
 def var_c_exact(h, n: int) -> float:
     """Var_H(c_n) with every lag evaluated exactly; intended for n <= ~2000."""
+    n = window_count(n)
     return _var_c([as_hurst(h)], n, [n])[0]
 
 
@@ -309,6 +316,7 @@ def var_c_approx(h, n: int):
     and one gamma_exact call reads every H's exact head.
     """
     hs = [as_hurst(v) for v in np.atleast_1d(h).tolist()]
+    n = window_count(n)
     cap = min(_N_TILDE_CAP, n)
     n_tilde = dict.fromkeys(hs, cap)
     searched = [hh for hh in n_tilde if hh not in (0.5, 1.0)] if n > 2 else []

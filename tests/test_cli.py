@@ -5,6 +5,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -12,10 +13,13 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zchurst
-from zchurst import cli, harness, orthant, synthesize, variance, zc_estimate
+from zchurst import InputError, cli, harness, orthant, synthesize, variance, zc_estimate
 from zchurst.cli import Settings, build_parser, main
 from zchurst.harness import FIGURE3_SUMMARY_COLUMNS, VARIANCE_TABLE_COLUMNS
 
@@ -72,7 +76,10 @@ def test_series_reader_skips_blank_lines_and_reads_crlf(tmp_path, capsys):
     padded.write_text("\n \t\n" + text.replace("\n", "\n\n  ", 5) + "\n\n")
     crlf = tmp_path / "crlf.txt"
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
-    for f in (padded, crlf):
+    # a leading byte-order mark, as spreadsheet programs and editors write it
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(text.encode("utf-8-sig"))
+    for f in (padded, crlf, bom):
         assert main(["estimate", str(f), "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == expected
 
@@ -102,6 +109,66 @@ def test_series_reader_refusals(tmp_path, capsys, method, text, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: " + err.format(f=f) + "\n"
+
+
+def _per_line_reader(path):
+    """The reader's rule before its one numpy conversion, kept here as the
+    oracle: float() on each stripped non-blank line (with a leading
+    byte-order mark skipped, as now)."""
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")
+    numbered = [(i, line) for i, line in enumerate(map(str.strip, lines), start=1) if line]
+    values = []
+    for lineno, line in numbered:
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: not a number: {line!r}") from None
+    if not values:
+        raise InputError(f"{path}: no data")
+    for lineno, line in numbered:
+        if not math.isfinite(float(line)):
+            raise InputError(f"{path}:{lineno}: not finite: {line!r}")
+    return np.array(values)
+
+
+_BLANKS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\u2003", " \t\u2003 "])
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), "%.17g" % v])
+)
+_ODD_LINES = st.sampled_from(
+    ["1_000", "\u0661\u0662.\u0665", "nan", "inf", "-inf", "1e999"]
+    + ["1.5 2.5", "1.0\x0c2.0", "1.5\x00", "x"]
+)
+_PADDED = st.tuples(_BLANKS, _NUMBERS, _BLANKS).map("".join)
+_LINES = st.one_of(_NUMBERS, _PADDED, _BLANKS, _ODD_LINES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(_LINES, max_size=8),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=8, max_size=8),
+    final=st.booleans(),
+)
+@example(lines=["1_000", "\u0661\u0662", " 2.5\u2003", "-0.0"], ends=["\n"] * 8, final=False)
+@example(lines=[], ends=["\n"] * 8, final=False)
+def test_series_reader_matches_the_per_line_rule(tmp_path_factory, lines, ends, final):
+    # numpy's str -> float conversion must be float(); at the numpy 2.0
+    # floor too, so a change there fails here
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not final:
+        text = text[: -len(ends[len(lines) - 1])]
+    f = tmp_path_factory.mktemp("series") / "series.txt"
+    f.write_bytes(text.encode())
+    try:
+        want = _per_line_reader(f)
+    except InputError as err:
+        with pytest.raises(InputError) as got:
+            cli._read_series(f)
+        assert str(got.value) == str(err)
+    else:
+        got = cli._read_series(f)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 def test_parser_is_built_once_and_keeps_no_settings(capsys):

@@ -287,6 +287,10 @@ def test_variance_table_rows_shape():
             assert row["var_c_asymptotic"] is None
         else:
             assert row["var_c_asymptotic"] > 0.0
+    assert variance_table_rows((0.6,), (64.0,)) == variance_table_rows((0.6,), (64,))
+    for n in (64.9, math.nan):
+        with pytest.raises(DomainError):
+            variance_table_rows((0.6,), (n,))
 
 
 def test_csv_formatting():

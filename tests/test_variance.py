@@ -417,6 +417,12 @@ def test_var_c_exact_anchors():
     assert var_c_exact(1.0, 64) == 0.0
     with pytest.raises(DomainError):
         var_c_exact(0.7, 0)
+    # a window count is refused unless it is whole; a whole float is an int
+    for var_c in (var_c_exact, var_c_approx):
+        for n in (4.5, 64.9, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                var_c(0.6, n)
+        assert var_c(0.6, 64.0) == var_c(0.6, 64)
 
 
 def test_var_c_exact_against_simulation():
